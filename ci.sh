@@ -18,11 +18,9 @@
 #      are written so any vectorized-scan overread trips ASan.  Skippable
 #      with EFC_SKIP_ASAN=1 (roughly doubles build time).
 #   5. ThreadSanitizer job: a third build with -DEFC_SANITIZE=thread runs
-#      the `parallel` label — the data-parallel executor's speculation
-#      worker pool and ordered stitch under TSan — and the `serve` label:
-#      the sharded server's event loops, cross-shard mailboxes and fd
-#      ownership (including the 100+ interleaved-connection test) under
-#      the same build.  Skippable with EFC_SKIP_TSAN=1.
+#      the `serve` label — the sharded server's event loops, cross-shard
+#      mailboxes and fd ownership (including the 100+
+#      interleaved-connection test).  Skippable with EFC_SKIP_TSAN=1.
 #   6. efc-serve smoke test: start a server, stream a CSV pipeline at it in
 #      7-byte chunks, and require byte-identical output to one-shot
 #      `efcc --run` on the same file.
@@ -54,9 +52,9 @@
 #   9. Codegen portability check: `efcc --emit-cpp` output (which embeds
 #      the AVX2/AVX-512 nibble scanners under GCC target attributes) must
 #      compile both with -mavx2 and with AVX disabled entirely.
-#  10. Parallel executor smoke: an 8 MB CSV through `efcc --parallel 4`
-#      must be byte-identical to the sequential run of the same file —
-#      the chunk/speculate/replay path end to end at a realistic size.
+#  10. Benchmark harness build: perfbench/ is its own CMake project that
+#      builds the library from src/, so a library change that breaks the
+#      harness fails here instead of in the benchmark run.
 #  11. Runtime-cache bench: cache-hit vs cache-miss request latency
 #      (asserts internally that a simulated restart hits the on-disk
 #      native artifact cache instead of re-invoking the host compiler).
@@ -69,29 +67,37 @@
 #      are unit-tested under `ctest -L certify` (mutation injection,
 #      corpus replay), which already ran as part of tier-1.
 #
+# Every label-filtered ctest passes --no-tests=error, so a selection that
+# matches nothing fails instead of passing vacuously.  ctest gets an
+# explicit job count: a bare `-j` followed by `-L X` takes `-L` as its
+# value and drops the label filter.
+#
 # Usage: ./ci.sh [build-dir]     (default: build)
 #===------------------------------------------------------------------------===#
 set -euo pipefail
 cd "$(dirname "$0")"
 BUILD=${1:-build}
+JOBS=$(nproc)
 
 echo "== [1/12] tier-1 verify =="
 cmake -B "$BUILD" -S .
 cmake --build "$BUILD" -j
-(cd "$BUILD" && ctest --output-on-failure -j)
+(cd "$BUILD" && ctest --output-on-failure -j "$JOBS")
 
 echo "== [2/12] EFC_SIMD=scalar tier-1 (vector kernels forced off) =="
 if [ "${EFC_SKIP_SCALAR:-0}" = "1" ]; then
   echo "skipped (EFC_SKIP_SCALAR=1)"
 else
-  (cd "$BUILD" && EFC_SIMD=scalar ctest --output-on-failure -j -L tier1)
+  (cd "$BUILD" && EFC_SIMD=scalar \
+     ctest --output-on-failure -j "$JOBS" -L tier1 --no-tests=error)
 fi
 
 echo "== [3/12] EFC_VERIFY_IR=1 tier-1 (between-pass IR invariants) =="
 if [ "${EFC_SKIP_VERIFYIR:-0}" = "1" ]; then
   echo "skipped (EFC_SKIP_VERIFYIR=1)"
 else
-  (cd "$BUILD" && EFC_VERIFY_IR=1 ctest --output-on-failure -j -L tier1)
+  (cd "$BUILD" && EFC_VERIFY_IR=1 \
+     ctest --output-on-failure -j "$JOBS" -L tier1 --no-tests=error)
 fi
 
 echo "== [4/12] ASan+UBSan tier-1 =="
@@ -104,17 +110,17 @@ else
   # (clean .so into an ASan process) is supported, but don't let a stale
   # instrumented cache cross builds.
   (cd "$BUILD-asan" && EFC_CACHE_DIR=$(mktemp -d) \
-     ctest --output-on-failure -j -L tier1)
+     ctest --output-on-failure -j "$JOBS" -L tier1 --no-tests=error)
 fi
 
-echo "== [5/12] TSan parallel + serve suites =="
+echo "== [5/12] TSan serve suite =="
 if [ "${EFC_SKIP_TSAN:-0}" = "1" ]; then
   echo "skipped (EFC_SKIP_TSAN=1)"
 else
   cmake -B "$BUILD-tsan" -S . -DEFC_SANITIZE=thread
-  cmake --build "$BUILD-tsan" -j --target parallel_test --target serve_test
-  (cd "$BUILD-tsan" && ctest --output-on-failure -j -L parallel)
-  (cd "$BUILD-tsan" && ctest --output-on-failure -j -L serve)
+  cmake --build "$BUILD-tsan" -j --target serve_test
+  (cd "$BUILD-tsan" &&
+     ctest --output-on-failure -j "$JOBS" -L serve --no-tests=error)
 fi
 
 echo "== [6/12] efc-serve smoke test =="
@@ -331,21 +337,9 @@ CXX_PORT=${CXX:-c++}
   -o "$SCRATCH/emitted_noavx.o"
 echo "emitted C++ compiles under -mavx2 and -mno-avx2 -mno-avx"
 
-echo "== [10/12] parallel executor smoke (8 MB, 4 threads) =="
-awk 'BEGIN { for (i = 0; i < 400000; i++)
-  printf "row%d,%d,pad%d\n", i, (i * 37 + 11) % 1000000, i }' \
-  > "$SCRATCH/par.csv"
-SEQ_OUT=$("$BUILD/tools/efcc" --regex "$PATTERN" --agg max \
-  --format decimal --run "$SCRATCH/par.csv")
-PAR_OUT=$(EFC_PARALLEL_MIN_BYTES=1048576 "$BUILD/tools/efcc" \
-  --regex "$PATTERN" --agg max --format decimal \
-  --run "$SCRATCH/par.csv" --parallel 4)
-if [ "$SEQ_OUT" != "$PAR_OUT" ]; then
-  echo "parallel diverges from sequential: seq='$SEQ_OUT'" \
-       "par='$PAR_OUT'" >&2
-  exit 1
-fi
-echo "efcc --parallel 4 == sequential on 8 MB CSV: '$PAR_OUT'"
+echo "== [10/12] benchmark harness build =="
+cmake -S perfbench -B "$BUILD-perfbench" -DCMAKE_BUILD_TYPE=Release
+cmake --build "$BUILD-perfbench" -j --target efc-perfbench
 
 echo "== [11/12] cache-hit vs cache-miss latency =="
 "$BUILD/bench/runtime_cache"

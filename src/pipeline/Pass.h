@@ -3,10 +3,9 @@
 /// \file
 /// The pass-manager IR architecture for the compile pipeline (DESIGN.md
 /// "Pass pipeline"): fuse → rbbe → minimize → vm_compile → fastpath_plan
-/// → parallel_plan is no longer a hard-wired call sequence inside
-/// PipelineCache (with sibling copies in tests/common/Oracle and
-/// bench/common/BenchCommon) but a list of *named passes* over one
-/// PassContext.  Each pass
+/// is no longer a hard-wired call sequence inside PipelineCache (with
+/// sibling copies in tests/common/Oracle and bench/common/BenchCommon) but
+/// a list of *named passes* over one PassContext.  Each pass
 ///
 ///   * transforms the BST IR or derives a side artifact from it,
 ///   * fingerprints its own options (optionsHash) and its input IR
@@ -31,7 +30,6 @@
 #include "bst/Bst.h"
 #include "bst/Minimize.h"
 #include "fusion/Fusion.h"
-#include "parallel/ChunkPlanner.h"
 #include "rbbe/Rbbe.h"
 #include "vm/FastPath.h"
 #include "vm/Vm.h"
@@ -41,6 +39,24 @@
 #include <string>
 #include <string_view>
 #include <vector>
+
+// Benchmark compatibility stubs; they have no behaviour.  perfbench/
+// (which changes only together with BENCHMARK.json) still reads three
+// names of the removed data-parallel executor to report its parallel.*
+// metrics: CompiledPipeline::Par and PassContext::Par, which point to
+// this never-built plan and so are always null, and
+// StreamSession::parallelFeeds(), which StreamSession inherits from
+// SessionStub and which returns 0.  Delete this block, the two Par
+// members and StreamSession's base once the benchmark drops those
+// metrics.
+namespace efc::parallel {
+struct ParallelPlan {
+  bool eligible() const { return false; }
+};
+struct SessionStub {
+  uint64_t parallelFeeds() const { return 0; }
+};
+} // namespace efc::parallel
 
 namespace efc::pipeline {
 
@@ -105,7 +121,7 @@ public:
 
   std::shared_ptr<const CompiledTransducer> Vm;
   std::shared_ptr<const FastPathPlan> Fast;
-  std::shared_ptr<const parallel::ParallelPlan> Par;
+  std::shared_ptr<const parallel::ParallelPlan> Par; ///< always null (stub)
 
   FusionStats FStats;
   RbbeStats RStats;
@@ -122,7 +138,6 @@ struct PassArtifacts {
   uint64_t IrHash = 0;
   std::shared_ptr<const CompiledTransducer> Vm;
   std::shared_ptr<const FastPathPlan> Fast;
-  std::shared_ptr<const parallel::ParallelPlan> Par;
   FusionStats FStats;
   RbbeStats RStats;
   MinimizeStats MStats;
@@ -144,7 +159,7 @@ public:
 
   virtual std::string_view name() const = 0;
   /// True when run() replaces PC.Ir (fuse/rbbe/minimize); plan passes
-  /// (vm_compile, fastpath_plan, parallel_plan) derive side artifacts.
+  /// (vm_compile, fastpath_plan) derive side artifacts.
   virtual bool transformsIr() const { return true; }
   virtual bool cacheable() const { return true; }
 

@@ -219,8 +219,7 @@ bool verifyIr(const Bst &A, std::string *Err) {
 PassManager::PassManager(std::vector<std::string> Passes)
     : Names(std::move(Passes)) {}
 
-std::vector<std::string>
-PassManager::defaultPasses(bool Rbbe, bool Minimize, bool ParallelPlan) {
+std::vector<std::string> PassManager::defaultPasses(bool Rbbe, bool Minimize) {
   std::vector<std::string> P{"fuse"};
   if (Rbbe)
     P.push_back("rbbe");
@@ -228,8 +227,6 @@ PassManager::defaultPasses(bool Rbbe, bool Minimize, bool ParallelPlan) {
     P.push_back("minimize");
   P.push_back("vm_compile");
   P.push_back("fastpath_plan");
-  if (ParallelPlan)
-    P.push_back("parallel_plan");
   return P;
 }
 

@@ -49,9 +49,8 @@ public:
   explicit PassManager(std::vector<std::string> Passes);
 
   /// The serving pipeline for a spec: fuse [+ rbbe] [+ minimize] +
-  /// vm_compile + fastpath_plan [+ parallel_plan].
-  static std::vector<std::string>
-  defaultPasses(bool Rbbe, bool Minimize, bool ParallelPlan = true);
+  /// vm_compile + fastpath_plan.
+  static std::vector<std::string> defaultPasses(bool Rbbe, bool Minimize);
 
   const std::vector<std::string> &passes() const { return Names; }
 

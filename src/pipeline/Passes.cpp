@@ -2,9 +2,9 @@
 //
 // The builtin compile passes.  fuse/rbbe do not open trace spans here —
 // fuseChain and eliminateUnreachableBranches already open "fuse"/"rbbe"
-// internally; minimize/vm_compile/fastpath_plan/parallel_plan open the
-// spans the monolithic PipelineCache driver used to, with identical names
-// and notes, so EFC_TRACE span trees are unchanged by the refactor.
+// internally; minimize/vm_compile/fastpath_plan open the spans the
+// monolithic PipelineCache driver used to, with identical names and
+// notes, so EFC_TRACE span trees are unchanged by the refactor.
 //
 //===----------------------------------------------------------------------===//
 
@@ -343,49 +343,6 @@ public:
   }
 };
 
-//===----------------------------------------------------------------------===//
-// parallel_plan
-//===----------------------------------------------------------------------===//
-
-/// Data-parallel chunking plan over the fast path (parallel/).
-class ParallelPlanPass : public Pass {
-public:
-  std::string_view name() const override { return "parallel_plan"; }
-  bool transformsIr() const override { return false; }
-
-  uint64_t optionsHash(const PipelineOptions &O) const override {
-    // The plan is derived from the fast-path plan, so its knobs re-key
-    // this pass too.
-    uint64_t H = FnvInit;
-    H = fnv1a(H, O.FastPath.RunAccel);
-    H = fnv1a(H, O.FastPath.WideTables);
-    H = fnv1a(H, O.FastPath.SpecAccel);
-    return H;
-  }
-
-  bool run(PassContext &PC, const PipelineOptions &, std::string *,
-           std::string *Note) const override {
-    if (!PC.Vm || !PC.Fast) {
-      if (Note)
-        *Note = "skipped: no VM/fast-path artifact";
-      return true;
-    }
-    trace::Span PpSp("parallel_plan");
-    PC.Par = std::make_shared<const parallel::ParallelPlan>(
-        parallel::ParallelPlan::build(*PC.Vm, *PC.Fast));
-    PpSp.note("eligible", (uint64_t)(PC.Par->eligible() ? 1 : 0));
-    PpSp.note("table_states", (uint64_t)PC.Par->numTableStates());
-    return true;
-  }
-
-  void save(const PassContext &PC, PassArtifacts &A) const override {
-    A.Par = PC.Par;
-  }
-  void load(const PassArtifacts &A, PassContext &PC) const override {
-    PC.Par = A.Par;
-  }
-};
-
 } // namespace
 
 //===----------------------------------------------------------------------===//
@@ -405,8 +362,7 @@ PassRegistry::PassRegistry() : I(new Impl) {
                   static_cast<Pass *>(new RbbePass),
                   static_cast<Pass *>(new MinimizePass),
                   static_cast<Pass *>(new VmCompilePass),
-                  static_cast<Pass *>(new FastPathPlanPass),
-                  static_cast<Pass *>(new ParallelPlanPass)})
+                  static_cast<Pass *>(new FastPathPlanPass)})
     add(std::unique_ptr<Pass>(P));
 }
 

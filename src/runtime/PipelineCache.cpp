@@ -376,7 +376,6 @@ std::shared_ptr<CompiledPipeline> buildPipeline(const PipelineSpec &Spec,
   P->Fused = PC.Ir;
   P->Vm = PC.Vm;
   P->Fast = PC.Fast;
-  P->Par = PC.Par;
   P->FStats = PC.FStats;
   P->RStats = PC.RStats;
   P->MStats = PC.MStats;
@@ -469,7 +468,6 @@ PipelineCache::get(const PipelineSpec &Spec, bool WantNative,
       Counters.FastNibbleKernels += FS.NibbleKernels;
       Counters.FastWideStates += FS.WideStates;
       Counters.FastSpecPairs += FS.SpecPairs;
-      Counters.ParEligible += P->Par && P->Par->eligible() ? 1 : 0;
       CacheMetrics &CM = CacheMetrics::get();
       CM.Builds.inc();
       CM.BuildSeconds.add(P->BuildSeconds);
@@ -566,7 +564,7 @@ std::string PipelineCache::Stats::str() const {
            "native_disk_hits=%llu native_compile_ms=%.1f "
            "fast_table_states=%llu fast_accel_states=%llu "
            "fast_run_kernels=%llu fast_nibble_kernels=%llu "
-           "fast_wide_states=%llu fast_spec_pairs=%llu par_eligible=%llu "
+           "fast_wide_states=%llu fast_spec_pairs=%llu "
            "cert_certified=%llu cert_unverified=%llu cert_refuted=%llu "
            "certify_timeouts=%llu",
            (unsigned long long)Hits, (unsigned long long)Misses,
@@ -581,7 +579,6 @@ std::string PipelineCache::Stats::str() const {
            (unsigned long long)FastNibbleKernels,
            (unsigned long long)FastWideStates,
            (unsigned long long)FastSpecPairs,
-           (unsigned long long)ParEligible,
            (unsigned long long)CertCertified,
            (unsigned long long)CertUnverified,
            (unsigned long long)CertRefuted,

@@ -27,7 +27,6 @@
 #include "fusion/Fusion.h"
 #include "pipeline/PassManager.h"
 #include "rbbe/Rbbe.h"
-#include "parallel/ChunkPlanner.h"
 #include "verify/EquivChecker.h"
 #include "vm/FastPath.h"
 #include "vm/Vm.h"
@@ -98,10 +97,7 @@ public:
   /// Byte-class dispatch tables over Vm (vm/FastPath.h); built with every
   /// entry — states the analysis cannot tabulate just stay on bytecode.
   std::shared_ptr<const FastPathPlan> Fast;
-  /// Data-parallel chunking plan over Fast (parallel/ChunkPlanner.h):
-  /// per-byte plausible-successor sets and per-action register
-  /// footprints.  Built with every entry; ineligible plans make
-  /// parallelFeed degrade to the sequential fast path.
+  /// Always null: a benchmark compatibility stub (pipeline/Pass.h).
   std::shared_ptr<const parallel::ParallelPlan> Par;
 
   FusionStats FStats;
@@ -173,7 +169,6 @@ public:
     uint64_t FastNibbleKernels = 0; ///< kernels with a shufti encoding
     uint64_t FastWideStates = 0;    ///< states with a wide-domain table
     uint64_t FastSpecPairs = 0;     ///< speculative alternating pairs
-    uint64_t ParEligible = 0; ///< builds whose parallel plan is usable
     uint64_t CertCertified = 0;  ///< builds certified end-to-end
     uint64_t CertUnverified = 0; ///< builds degraded by budget/Unknown
     uint64_t CertRefuted = 0;    ///< builds rejected at admission

@@ -1213,44 +1213,5 @@ std::string Server::statsText() const {
            !Opts.Tcp          ? "off"
            : TcpReusePort     ? "reuseport"
                               : "handoff");
-  // Speculation telemetry, read back from the global registry (the
-  // parallel executor folds its counters there; re-registration interns
-  // to the same objects).  Convergence distance distribution is in the
-  // Prometheus exposition (efc_parallel_convergence_bytes).
-  auto &R = metrics::Registry::instance();
-  metrics::Histogram &H =
-      R.histogram("efc_parallel_convergence_bytes",
-                  "elements consumed per chunk before lanes converged to one",
-                  {16, 64, 256, 1024, 4096, 16384, 65536});
-  char PBuf[320];
-  snprintf(PBuf, sizeof(PBuf),
-           "\nparallel: feeds=%llu chunks_planned=%llu "
-           "chunks_speculated=%llu chunks_sequential=%llu "
-           "lanes_started=%llu lanes_abandoned=%llu lanes_merged=%llu "
-           "replay_elems=%llu converge_p50_bytes<=%.0f",
-           (unsigned long long)R.counter("efc_parallel_feeds_total").value(),
-           (unsigned long long)
-               R.counter("efc_parallel_chunks_planned_total").value(),
-           (unsigned long long)
-               R.counter("efc_parallel_chunks_speculated_total").value(),
-           (unsigned long long)
-               R.counter("efc_parallel_chunks_sequential_total").value(),
-           (unsigned long long)
-               R.counter("efc_parallel_lanes_started_total").value(),
-           (unsigned long long)
-               R.counter("efc_parallel_lanes_abandoned_total").value(),
-           (unsigned long long)
-               R.counter("efc_parallel_lanes_merged_total").value(),
-           (unsigned long long)
-               R.counter("efc_parallel_replay_elements_total").value(),
-           [&H] {
-             uint64_t Total = H.count(), Acc = 0;
-             for (unsigned I = 0; I < H.numBounds(); ++I) {
-               Acc += H.bucketCount(I);
-               if (2 * Acc >= Total && Total)
-                 return H.bound(I);
-             }
-             return H.numBounds() ? H.bound(H.numBounds() - 1) : 0.0;
-           }());
-  return std::string(Buf) + PerShard + PBuf + "\ncache: " + CS.str() + "\n";
+  return std::string(Buf) + PerShard + "\ncache: " + CS.str() + "\n";
 }

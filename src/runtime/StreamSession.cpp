@@ -2,12 +2,6 @@
 
 #include "runtime/StreamSession.h"
 
-#include "parallel/Parallel.h"
-#include "support/EnvParse.h"
-
-#include <cstdlib>
-#include <thread>
-
 using namespace efc;
 using namespace efc::runtime;
 
@@ -44,19 +38,8 @@ StreamSession StreamSession::overFast(const FastPathPlan &P,
   StreamSession S;
   S.Kind = Backend::Fast;
   S.FCur.emplace(P, T);
-  S.FPlan = &P;
-  S.FVm = &T;
   S.bindMetrics();
   return S;
-}
-
-void StreamSession::enableParallel(const parallel::ParallelPlan &Plan,
-                                   unsigned Threads, size_t MinBytes) {
-  if (Kind != Backend::Fast || !Plan.eligible() || Threads < 2 || !MinBytes)
-    return;
-  ParPlan = &Plan;
-  ParThreads = Threads;
-  ParMinBytes = MinBytes;
 }
 
 std::optional<StreamSession>
@@ -105,19 +88,6 @@ StreamSession::open(std::shared_ptr<const CompiledPipeline> P, Backend B,
       return std::nullopt;
     }
   }
-  // Large feeds on the fast path can fan out across cores; the
-  // threshold keeps ordinary streaming chunks on the sequential cursor.
-  // EFC_PARALLEL_MIN_BYTES=0 disables (default 8 MB);
-  // EFC_PARALLEL_THREADS defaults to min(4, hardware threads).
-  if (S->Kind == Backend::Fast && P->Par && P->Par->eligible()) {
-    size_t MinBytes =
-        size_t(env::u64("EFC_PARALLEL_MIN_BYTES", 8u << 20, 0,
-                        UINT64_MAX, /*Base=*/0));
-    unsigned HW = std::thread::hardware_concurrency();
-    unsigned Threads = std::min(4u, HW ? HW : 1u);
-    Threads = unsigned(env::u64("EFC_PARALLEL_THREADS", Threads, 1, 1024));
-    S->enableParallel(*P->Par, Threads, MinBytes);
-  }
   S->Keep = std::move(P);
   return S;
 }
@@ -160,44 +130,19 @@ bool StreamSession::feed(const void *Data, size_t N) {
         return false;
       }
     }
-  } else if (Kind == Backend::Fast) {
-    // Widen into the reused chunk buffer so the cursor gets one
-    // contiguous span per feed (the fast loop is chunk-oriented).
-    Chunk.clear();
-    Chunk.reserve(N);
-    for (size_t I = 0; I < N; ++I)
-      Chunk.push_back(Bytes[I]);
-    if (ParPlan && N >= ParMinBytes) {
-      // Large feed: suspend the cursor, run the chunk through the
-      // data-parallel executor, resume at its exit state.  Output is
-      // byte-identical to the sequential cursor by construction.
-      unsigned St = FCur->state();
-      std::span<const uint64_t> RS = FCur->regSlots();
-      std::vector<uint64_t> Regs(RS.begin(), RS.end());
-      parallel::ParallelOptions PO;
-      PO.Threads = ParThreads;
-      bool Ok =
-          parallel::parallelFeed(*ParPlan, *FPlan, *FVm, St, Regs, Chunk,
-                                 Staged, PO);
-      FCur->restore(St, Regs);
-      ++ParFeeds;
-      if (!Ok) {
-        Rejected = true;
-        drain();
-        return false;
-      }
-    } else if (!FCur->feed(Chunk, Staged)) {
-      Rejected = true;
-      drain();
-      return false;
-    }
   } else {
+    // Widen into the reused chunk buffer so the fast-path cursor and the
+    // native feed get one contiguous span per feed (both are
+    // chunk-oriented).
     Chunk.clear();
     Chunk.reserve(N);
     for (size_t I = 0; I < N; ++I)
       Chunk.push_back(Bytes[I]);
-    if (!Nat->streamFeed(NatState.data(), Chunk.data(), Chunk.size(),
-                         Staged)) {
+    bool Ok = Kind == Backend::Fast
+                  ? FCur->feed(Chunk, Staged)
+                  : Nat->streamFeed(NatState.data(), Chunk.data(),
+                                    Chunk.size(), Staged);
+    if (!Ok) {
       Rejected = true;
       drain();
       return false;

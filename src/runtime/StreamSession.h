@@ -33,7 +33,8 @@
 
 namespace efc::runtime {
 
-class StreamSession {
+/// The base is a benchmark compatibility stub (pipeline/Pass.h).
+class StreamSession : public parallel::SessionStub {
 public:
   enum class Backend { Vm, Fast, Native };
 
@@ -93,18 +94,6 @@ public:
     return FCur ? FCur->runCounters().SpecElements : 0;
   }
 
-  /// Arms data-parallel execution for large feeds (fast-path backend
-  /// only; ignored elsewhere).  A single feed() of at least \p MinBytes
-  /// runs through the parallel executor with \p Threads workers and
-  /// resumes the sequential cursor at the resulting (state, registers).
-  /// open() arms this automatically from EFC_PARALLEL_MIN_BYTES /
-  /// EFC_PARALLEL_THREADS when the entry's plan is eligible.
-  void enableParallel(const parallel::ParallelPlan &Plan, unsigned Threads,
-                      size_t MinBytes);
-
-  /// Feeds served by the parallel executor so far.
-  uint64_t parallelFeeds() const { return ParFeeds; }
-
 private:
   StreamSession() = default;
 
@@ -119,18 +108,12 @@ private:
 
   // Fast-path backend.
   std::optional<FastPathCursor> FCur;
-  const FastPathPlan *FPlan = nullptr;
-  const CompiledTransducer *FVm = nullptr;
-
-  // Data-parallel large-feed execution (see enableParallel).
-  const parallel::ParallelPlan *ParPlan = nullptr;
-  unsigned ParThreads = 0;
-  size_t ParMinBytes = 0;
-  uint64_t ParFeeds = 0;
 
   // Native backend.
   const NativeTransducer *Nat = nullptr;
   std::vector<uint64_t> NatState;
+
+  // Fast-path and native backends.
   std::vector<uint64_t> Chunk; ///< reused element-widening buffer
 
   std::vector<uint64_t> Staged;

@@ -4,8 +4,7 @@
 /// One shared parser for every numeric environment knob and CLI flag.
 /// The historical call sites used bare `atoi`/`strtoull(V, nullptr, 10)`,
 /// which silently map garbage to 0 — `EFC_SESSION_IDLE_MS=abc` became
-/// "reap immediately" and `EFC_PARALLEL_MIN_BYTES=1M` became
-/// "always parallel".  Two disciplines replace that:
+/// "reap immediately".  Two disciplines replace that:
 ///
 ///  * env vars (`env::u64` / `env::i64` / `env::f64` / `env::flag`):
 ///    endptr- and range-checked; a malformed or out-of-range value warns

@@ -987,10 +987,6 @@ FastPathPlan FastPathPlan::build(const Bst &A, const CompiledTransducer &T,
       Plan.FixedAction = int(ST.Actions.size());
       Action PA;
       PA.K = Action::Kind::Program;
-      // Leaf programs have a statically known successor (their single
-      // Next); record it so the parallel planner can enumerate plausible
-      // post-boundary states without running the program.
-      PA.Target = L->target();
       PA.Code = std::move(*Prog);
       ST.Actions.push_back(std::move(PA));
       ++P.S.ProgramActions;

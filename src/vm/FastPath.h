@@ -376,14 +376,6 @@ public:
 
   unsigned state() const { return Inner.state(); }
 
-  /// Suspend/resume for the data-parallel executor: expose the register
-  /// file and allow restoring a cursor to an arbitrary stream position's
-  /// (state, registers) pair without disturbing the run counters.
-  std::span<const uint64_t> regSlots() const { return Inner.regSlots(); }
-  void restore(unsigned State, std::span<const uint64_t> Regs) {
-    Inner.restore(State, Regs);
-  }
-
   const RunCounters &runCounters() const { return RC; }
 
 private:

@@ -465,16 +465,6 @@ void CompiledTransducer::Cursor::reset() {
     Slots[I] = T->InitRegs[I];
 }
 
-void CompiledTransducer::Cursor::restore(unsigned NewState,
-                                         std::span<const uint64_t> Regs) {
-  assert(NewState < T->Delta.size() && "restore to out-of-range state");
-  assert(Regs.size() == T->NumRegSlots && "register file size mismatch");
-  State = NewState;
-  Slots.assign(T->NumSlots, 0);
-  for (unsigned I = 0; I < T->NumRegSlots; ++I)
-    Slots[I] = Regs[I];
-}
-
 bool CompiledTransducer::Cursor::exec(const VmProgram &P,
                                       std::vector<uint64_t> &Out) {
   const VmInstr *Code = P.Code.data();
@@ -501,45 +491,7 @@ bool CompiledTransducer::Cursor::exec(const VmProgram &P,
     case VmOp::Reject:
       return false;
     default:
-      // Pure ops share one evaluator with the planner's abstract
-      // interpretation (evalVmPureOp), so the two cannot drift.
       S[I.Dst] = evalVmPureOp(I, S);
-      break;
-    }
-  }
-}
-
-bool CompiledTransducer::Cursor::execProgramTracked(const VmProgram &P,
-                                                    std::vector<uint64_t> &Out,
-                                                    uint64_t &WrittenRegs) {
-  const VmInstr *Code = P.Code.data();
-  uint64_t *S = Slots.data();
-  const unsigned NR = T->NumRegSlots;
-  size_t Pc = 0;
-  for (;;) {
-    const VmInstr &I = Code[Pc++];
-    switch (I.Op) {
-    case VmOp::Jz:
-      if (S[I.A] == 0)
-        Pc = size_t(I.Imm);
-      break;
-    case VmOp::Jmp:
-      Pc = size_t(I.Imm);
-      break;
-    case VmOp::Emit:
-      Out.push_back(S[I.A]);
-      break;
-    case VmOp::Next:
-      State = unsigned(I.Imm);
-      return true;
-    case VmOp::Accept:
-      return true;
-    case VmOp::Reject:
-      return false;
-    default:
-      S[I.Dst] = evalVmPureOp(I, S);
-      if (I.Dst < NR)
-        WrittenRegs |= uint64_t(1) << I.Dst;
       break;
     }
   }

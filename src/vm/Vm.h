@@ -72,12 +72,8 @@ struct VmProgram {
 };
 
 /// Evaluates one pure (non-control, non-effect) instruction against the
-/// slot array \p S and returns the destination value.  This is the single
-/// definition of the VM's arithmetic: Cursor::exec stores its result, and
-/// the parallel planner's per-byte abstract evaluation
-/// (parallel/ChunkPlanner.cpp) calls it to fold input-only guards exactly
-/// as the interpreter would — successor predictions can never drift from
-/// execution.  \p I.Op must be one of Const..Select.
+/// slot array \p S and returns the destination value; Cursor::exec stores
+/// it in the destination slot.  \p I.Op must be one of Const..Select.
 inline uint64_t evalVmPureOp(const VmInstr &I, const uint64_t *S) {
   switch (I.Op) {
   case VmOp::Const:
@@ -205,38 +201,6 @@ public:
     bool finish(std::vector<uint64_t> &Out);
 
     unsigned state() const { return State; }
-
-    /// Suspend/resume hooks for the data-parallel executor
-    /// (src/parallel/): a speculative lane is a cursor restored to an
-    /// arbitrary (control state, register file) pair, and deferred
-    /// effect replay re-runs individual leaf programs against patched
-    /// registers.  restore() zeroes the temporaries; \p Regs must have
-    /// numRegSlots() elements.
-    void restore(unsigned NewState, std::span<const uint64_t> Regs);
-
-    std::span<const uint64_t> regSlots() const {
-      return {Slots.data(), T->NumRegSlots};
-    }
-    std::span<uint64_t> regSlots() { return {Slots.data(), T->NumRegSlots}; }
-
-    /// Stages the input element the next program execution will read.
-    void setInput(uint64_t X) { Slots[T->NumRegSlots] = X; }
-
-    /// Executes one program (a delta leaf program or finalizer) against
-    /// the current slot file; emits append to \p Out.  Returns false on
-    /// Reject.  The caller is responsible for having staged the input
-    /// element via setInput().
-    bool execProgram(const VmProgram &P, std::vector<uint64_t> &Out) {
-      return exec(P, Out);
-    }
-
-    /// execProgram plus a bitmask of the register slots the executed
-    /// path actually wrote.  Register-guarded programs have
-    /// path-dependent write sets; the speculative executor runs them
-    /// concretely once their reads are known and needs the exact set of
-    /// slots holding real values afterwards.
-    bool execProgramTracked(const VmProgram &P, std::vector<uint64_t> &Out,
-                            uint64_t &WrittenRegs);
 
   private:
     friend class efc::FastPathCursor;

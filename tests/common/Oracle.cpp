@@ -50,7 +50,7 @@ constexpr BackendName Names[] = {
     {"fusedvm", BK_FusedVm}, {"rbbe", BK_Rbbe},
     {"rbbevm", BK_RbbeVm},   {"native", BK_Native},
     {"fastpath", BK_FastPath}, {"rbbefast", BK_RbbeFast},
-    {"fastskip", BK_FastSkip}, {"parallel", BK_Parallel},
+    {"fastskip", BK_FastSkip},
 };
 
 } // namespace
@@ -144,7 +144,7 @@ Oracle::Oracle(std::vector<Bst> StagesIn, const OracleOptions &Opts)
 
   constexpr unsigned NeedFused = BK_Fused | BK_FusedVm | BK_Rbbe |
                                  BK_RbbeVm | BK_Native | BK_FastPath |
-                                 BK_RbbeFast | BK_FastSkip | BK_Parallel;
+                                 BK_RbbeFast | BK_FastSkip;
   if (!(Backends & NeedFused))
     return;
 
@@ -172,18 +172,15 @@ Oracle::Oracle(std::vector<Bst> StagesIn, const OracleOptions &Opts)
   for (const Bst &St : Stages)
     PC.Stages.push_back(&St);
   std::vector<std::string> Passes{"fuse"};
-  if (Backends & (BK_FusedVm | BK_FastPath | BK_FastSkip | BK_Parallel)) {
+  if (Backends & (BK_FusedVm | BK_FastPath | BK_FastSkip)) {
     Passes.push_back("vm_compile");
-    if (Backends & (BK_FastPath | BK_FastSkip | BK_Parallel))
+    if (Backends & (BK_FastPath | BK_FastSkip))
       Passes.push_back("fastpath_plan");
-    if (Backends & BK_Parallel)
-      Passes.push_back("parallel_plan");
   }
   runPasses(PC, std::move(Passes));
   Fused = PC.Ir;
   FusedVm = PC.Vm;
   FusedFast = PC.Fast;
-  FusedPar = PC.Par;
 
   if (Backends & (BK_Rbbe | BK_RbbeVm | BK_RbbeFast)) {
     // Branch the context: RBBE (and its VM/fast-path artifacts) derive
@@ -317,26 +314,6 @@ Oracle::check(std::span<const Value> Input) const {
       if (auto D = diverges("fastskip", Got))
         return D;
     }
-  }
-
-  if (Backends & BK_Parallel) {
-    if (!FusedVm)
-      return Disagreement{"parallel", renderRaw(RefRaw),
-                          "fused stage rejected by the VM compiler"};
-    // Adversarially tiny knobs: even short oracle inputs get split into
-    // several chunks, so planning, speculation, lane merging and effect
-    // replay all run.  Ineligible pipelines stitch sequentially inside
-    // parallelFeed — still a full differential observation.
-    parallel::ParallelOptions PO;
-    PO.Threads = 3;
-    PO.MinChunkBytes = 2;
-    PO.SyncWindow = 8;
-    PO.MaxLanes = 4;
-    PO.ConvergeBudget = 64;
-    if (auto D = diverges("parallel", parallel::runParallel(
-                                          *FusedPar, *FusedFast, *FusedVm,
-                                          Raw, PO)))
-      return D;
   }
 
   if ((Backends & BK_Native) && Native)

@@ -16,7 +16,6 @@
 ///   * byte-class fast path over RBBE'd VM    (BK_RbbeFast)
 ///   * fast path fed in tiny chunks           (BK_FastSkip: cuts inside
 ///     run-kernel spans, so runs must resume across feed() boundaries)
-///   * data-parallel speculate-and-stitch     (BK_Parallel, tiny chunks)
 ///   * generated C++ compiled to a .so        (BK_Native, host compiler)
 ///
 /// A greedy shrinker minimizes failing (pipeline, input) pairs by stage
@@ -31,7 +30,6 @@
 #include "bst/Bst.h"
 #include "codegen/NativeCompile.h"
 #include "fusion/Fusion.h"
-#include "parallel/Parallel.h"
 #include "rbbe/Rbbe.h"
 #include "vm/FastPath.h"
 #include "vm/Vm.h"
@@ -59,14 +57,9 @@ enum Backend : unsigned {
   /// Fast path driven through FastPathCursor in 1/3/7-element chunks, so
   /// every run-kernel span is cut inside a run at some feed() boundary.
   BK_FastSkip = 1u << 8,
-  /// Data-parallel executor (src/parallel/) over the fused fast path,
-  /// with adversarially tiny chunking knobs so even short oracle inputs
-  /// get split, speculated and stitched.
-  BK_Parallel = 1u << 9,
 
-  BK_Default =
-      BK_Vm | BK_Fused | BK_FusedVm | BK_Rbbe | BK_RbbeVm | BK_FastPath |
-      BK_RbbeFast | BK_FastSkip | BK_Parallel,
+  BK_Default = BK_Vm | BK_Fused | BK_FusedVm | BK_Rbbe | BK_RbbeVm |
+               BK_FastPath | BK_RbbeFast | BK_FastSkip,
   BK_All = BK_Default | BK_Native,
 };
 
@@ -141,7 +134,6 @@ private:
   std::shared_ptr<const Bst> Fused, Rbbe;
   std::shared_ptr<const CompiledTransducer> FusedVm, RbbeVm;
   std::shared_ptr<const FastPathPlan> FusedFast, RbbeFast;
-  std::shared_ptr<const parallel::ParallelPlan> FusedPar;
   std::optional<NativeTransducer> Native;
   std::string NativeErr;
 };

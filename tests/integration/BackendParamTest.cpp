@@ -24,6 +24,11 @@ struct PipelineCase {
   std::vector<uint64_t> (*Input)();
 };
 
+// Without this gtest prints the case as a byte dump of its pointers, and
+// gtest_discover_tests copies that dump into the ctest name, which then
+// changes with the load address on every build.
+void PrintTo(const PipelineCase &C, std::ostream *OS) { *OS << C.Name; }
+
 std::vector<uint64_t> sboInput() {
   return rawOfBytes(data::makeSboCsv(61, 24 * 1024, 5));
 }

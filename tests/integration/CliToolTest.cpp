@@ -191,65 +191,4 @@ TEST(CliToolTest, UsageErrors) {
   EXPECT_NE(runCmd(efccPath() + " --regex a --agg bogus --stats", Out), 0);
 }
 
-TEST(CliToolTest, ParallelFlagErrors) {
-  if (!efccAvailable())
-    GTEST_SKIP();
-  std::string Csv = ::testing::TempDir() + "/efcc_par_in.csv";
-  {
-    std::ofstream F(Csv);
-    F << "a,17,x\nb,99,y\n";
-  }
-  const std::string Rx =
-      " --regex '(?:(?:[^,\\n]*,){1}(?<v>\\d+),[^\\n]*\\n)*'"
-      " --agg max --format decimal";
-  // Contradictory combinations are usage errors (exit 2), never silent
-  // sequential runs.
-  std::string Err;
-  EXPECT_EQ(runCmdErr(efccPath() + Rx + " --run " + Csv +
-                          " --parallel 4 --backend vm",
-                      Err),
-            2 << 8);
-  EXPECT_NE(Err.find("fastpath"), std::string::npos) << Err;
-  EXPECT_EQ(runCmdErr(efccPath() + Rx + " --run " + Csv + " --parallel 0",
-                      Err),
-            2 << 8);
-  EXPECT_EQ(runCmdErr(efccPath() + Rx + " --run " + Csv + " --parallel -2",
-                      Err),
-            2 << 8);
-  EXPECT_EQ(runCmdErr(efccPath() + Rx + " --run " + Csv + " --parallel x",
-                      Err),
-            2 << 8);
-  EXPECT_EQ(runCmdErr(efccPath() + Rx + " --parallel 4 --stats", Err),
-            2 << 8);
-  EXPECT_NE(Err.find("--run"), std::string::npos) << Err;
-  // A 2-line input is far below EFC_PARALLEL_MIN_BYTES: refuse loudly.
-  EXPECT_EQ(runCmdErr(efccPath() + Rx + " --run " + Csv + " --parallel 4",
-                      Err),
-            2 << 8);
-  EXPECT_NE(Err.find("too small"), std::string::npos) << Err;
-}
-
-TEST(CliToolTest, ParallelRunMatchesSequential) {
-  if (!efccAvailable())
-    GTEST_SKIP();
-  std::string Csv = ::testing::TempDir() + "/efcc_par_big.csv";
-  {
-    std::ofstream F(Csv);
-    for (int I = 0; I < 2000; ++I)
-      F << "row" << I << "," << (I * 7) % 10000 << ",tail\n";
-  }
-  const std::string Rx =
-      " --regex '(?:(?:[^,\\n]*,){1}(?<v>\\d+),[^\\n]*\\n)*'"
-      " --agg max --format decimal";
-  std::string Seq, Par;
-  EXPECT_EQ(runCmd(efccPath() + Rx + " --run " + Csv, Seq), 0);
-  // Lower the eligibility floor so this test input parallelizes.
-  EXPECT_EQ(runCmd("EFC_PARALLEL_MIN_BYTES=1024 " + efccPath() + Rx +
-                       " --run " + Csv + " --parallel 4",
-                   Par),
-            0);
-  EXPECT_EQ(Seq, Par);
-  EXPECT_EQ(Seq, "9996");
-}
-
 } // namespace

@@ -45,6 +45,11 @@ struct GoldenCase {
   bench::BuiltPipeline (*Make)();
 };
 
+// Without this gtest prints the case as a byte dump of its pointers, and
+// gtest_discover_tests copies that dump into the ctest name, which then
+// changes with the load address on every build.
+void PrintTo(const GoldenCase &C, std::ostream *OS) { *OS << C.Name; }
+
 // All 17 evaluation pipelines (the efc-verify certification set).
 const GoldenCase GoldenCases[] = {
     {"base64_avg", [] { return bench::makeBase64AvgPipeline(); }},

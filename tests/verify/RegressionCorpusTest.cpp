@@ -1,11 +1,10 @@
 //===- tests/verify/RegressionCorpusTest.cpp - Committed seed replay ------===//
 //
 // Replays the committed regression corpus (tests/data/regress/*.corpus)
-// through the differential oracle across five backends: fused VM
+// through the differential oracle across four backends: fused VM
 // bytecode, the byte-class fast path, the fast path fed in tiny chunks
-// (cutting run-kernel spans at feed() boundaries), the data-parallel
-// chunked executor (adversarially small chunk/lane knobs), and the
-// generated-C++ .so when a host compiler is present.
+// (cutting run-kernel spans at feed() boundaries), and the generated-C++
+// .so when a host compiler is present.
 //
 // Corpus entries come from two sources: counterexamples promoted by
 // `efc-verify --corpus-out tests/data/regress` after a refutation, and
@@ -144,8 +143,7 @@ protected:
     BuiltPipeline P = buildByName(Pipeline, Err);
     if (P.Stages.empty())
       return nullptr;
-    unsigned Backends =
-        BK_FusedVm | BK_FastPath | BK_FastSkip | BK_Parallel | BK_Native;
+    unsigned Backends = BK_FusedVm | BK_FastPath | BK_FastSkip | BK_Native;
     auto O = std::make_shared<Oracle>(std::move(P.Stages),
                                       OracleOptions(Backends));
     return oracles().emplace(Pipeline, Shared{P.Ctx, std::move(O)})

@@ -22,7 +22,7 @@
 //                    fuse+rbbe+minimize
 //   --passes LIST    comma-separated IR pass list (fuse[,rbbe][,minimize])
 //                    overriding the flags above; the artifact passes
-//                    (vm_compile, fastpath_plan, parallel_plan) always run
+//                    (vm_compile, fastpath_plan) always run
 //   --rbbe-budget N  RBBE solver-check budget override (0 = library
 //                    default); only re-keys the rbbe pass, so the cached
 //                    fusion artifact is reused across budget changes
@@ -31,13 +31,6 @@
 //                    entering/leaving IR hash, wall time and cache-hit
 //                    flag to stdout
 //   --run FILE       execute over FILE, write output bytes to stdout
-//   --parallel N     run --run input through the data-parallel executor
-//                    (src/parallel/) with N threads.  Requires the
-//                    fastpath backend (the parallel plan is derived from
-//                    the byte-class tables); inputs below
-//                    EFC_PARALLEL_MIN_BYTES (default 1 MB, 0 disables
-//                    the check) are refused rather than silently run
-//                    sequentially.
 //   --backend K      vm | fastpath | native   (default: fastpath)
 //                    vm       = plain bytecode interpreter
 //                    fastpath = byte-class dispatch tables over the VM
@@ -70,7 +63,6 @@
 //===----------------------------------------------------------------------===//
 
 #include "codegen/CppCodeGen.h"
-#include "parallel/Parallel.h"
 #include "runtime/PipelineCache.h"
 #include "support/EnvParse.h"
 #include "support/Metrics.h"
@@ -99,7 +91,7 @@ int usage(const char *Msg = nullptr) {
           "            [--explain-fastpath] [--explain-passes]\n"
           "            [--certify] [--certify-budget-ms N]\n"
           "            [--backend vm|fastpath|native] [--native]\n"
-          "            [--run FILE [--parallel N]] [--emit-cpp FILE]\n");
+          "            [--run FILE] [--emit-cpp FILE]\n");
   return 2;
 }
 
@@ -114,8 +106,6 @@ int main(int argc, char **argv) {
   uint64_t RbbeBudget = 0;
   int OptLevel = -1; // -1: not given
   std::string PassList;
-  long Parallel = 0; // thread count; meaningful only when ParallelGiven
-  bool ParallelGiven = false;
 
   for (int I = 1; I < argc; ++I) {
     std::string A = argv[I];
@@ -178,15 +168,6 @@ int main(int argc, char **argv) {
         Backend = V;
       else
         return usage("--backend needs vm|fastpath|native");
-    } else if (A == "--parallel") {
-      const char *V = Next();
-      if (!V)
-        return usage("--parallel needs a thread count");
-      char *End = nullptr;
-      Parallel = strtol(V, &End, 10);
-      if (!End || *End)
-        return usage("--parallel needs an integer thread count");
-      ParallelGiven = true;
     } else if (A == "--native") {
       Backend = "native";
     } else if (A == "--stats") {
@@ -239,8 +220,8 @@ int main(int argc, char **argv) {
         DoMinimize = true;
       } else if (pipeline::PassRegistry::instance().lookup(Tok)) {
         return usage(("pass '" + Tok +
-                      "' is not selectable here (vm_compile, "
-                      "fastpath_plan and parallel_plan always run)")
+                      "' is not selectable here (vm_compile and "
+                      "fastpath_plan always run)")
                          .c_str());
       } else {
         std::string Known;
@@ -258,21 +239,6 @@ int main(int argc, char **argv) {
   if (Backend != "vm" && Backend != "fastpath" && Backend != "native")
     return usage(("unknown backend '" + Backend + "'").c_str());
   bool Native = Backend == "native";
-
-  // Contradictory --parallel combinations are hard errors, not silent
-  // sequential runs (DESIGN.md "Data-parallel execution").
-  bool WantParallel = ParallelGiven;
-  if (WantParallel) {
-    if (Parallel < 1)
-      return usage("--parallel needs a thread count >= 1");
-    if (Backend != "fastpath")
-      return usage(("--parallel requires the fastpath backend: no "
-                    "parallel plan exists for backend '" +
-                    Backend + "'")
-                       .c_str());
-    if (RunFile.empty())
-      return usage("--parallel only applies to --run");
-  }
 
   PipelineSpec Spec;
   Spec.Kind = Regex.empty() ? PipelineSpec::Frontend::XPath
@@ -374,27 +340,6 @@ int main(int argc, char **argv) {
     for (unsigned char C : Data)
       In.push_back(C);
 
-    if (WantParallel) {
-      size_t MinBytes =
-          size_t(env::u64("EFC_PARALLEL_MIN_BYTES", 1u << 20, 0,
-                          UINT64_MAX, /*Base=*/0));
-      if (!P->Par || !P->Par->eligible()) {
-        fprintf(stderr,
-                "efcc: no parallel plan for this pipeline (no "
-                "byte-class table states, or too many register slots); "
-                "drop --parallel to run sequentially\n");
-        return 2;
-      }
-      if (Parallel > 1 && MinBytes && In.size() < MinBytes) {
-        fprintf(stderr,
-                "efcc: input %s is too small for --parallel %ld "
-                "(%zu bytes < EFC_PARALLEL_MIN_BYTES=%zu); drop "
-                "--parallel or lower EFC_PARALLEL_MIN_BYTES\n",
-                RunFile.c_str(), Parallel, In.size(), MinBytes);
-        return 2;
-      }
-    }
-
     std::optional<std::vector<uint64_t>> Out;
     if (Native) {
       CompiledPipeline::NativeOutcome Outcome;
@@ -436,27 +381,7 @@ int main(int argc, char **argv) {
                 FS.SpecPairs, FS.WideStates,
                 (unsigned long long)FS.WideMemoElements);
       }
-      if (WantParallel) {
-        parallel::ParallelOptions PO;
-        PO.Threads = unsigned(Parallel);
-        parallel::ParallelStats PStats;
-        Out = parallel::runParallel(*P->Par, *P->Fast, *P->Vm, In, PO,
-                                    &PStats);
-        if (Stats)
-          fprintf(stderr,
-                  "efcc: parallel: %llu chunks (%llu replayed, %llu "
-                  "sequential), %llu lanes (%llu merged, %llu "
-                  "abandoned), %llu replayed output elems\n",
-                  (unsigned long long)PStats.ChunksPlanned,
-                  (unsigned long long)PStats.ChunksSpeculated,
-                  (unsigned long long)PStats.ChunksSequential,
-                  (unsigned long long)PStats.LanesStarted,
-                  (unsigned long long)PStats.LanesMerged,
-                  (unsigned long long)PStats.LanesAbandoned,
-                  (unsigned long long)PStats.ReplayElements);
-      } else {
-        Out = runFastPath(*P->Fast, *P->Vm, In);
-      }
+      Out = runFastPath(*P->Fast, *P->Vm, In);
     } else {
       Out = P->Vm->run(In);
     }
