@@ -265,55 +265,16 @@ public:
     return S;
   }
 
-  /// True when any kernel carries a shufti encoding — gates emission of
-  /// the efc_scan_nib dispatch helper.
-  bool anyNibbleKernel() const {
-    for (const std::vector<RunKernel> &Ks : Kernels)
-      for (const RunKernel &RK : Ks)
-        if (RK.NT.Valid)
-          return true;
-    return false;
-  }
-
-  std::string function() {
-    std::string S;
-    S += "static bool " + Opts.FunctionName +
-         "(const uint64_t *in, size_t n, std::vector<uint64_t> &out) {\n";
-    std::vector<uint64_t> Init;
-    flattenInit(A.initialRegister(), Init);
-    for (unsigned I = 0; I < NumLeaves; ++I)
-      S += "  uint64_t r" + std::to_string(I) + " = " + hex(Init[I]) +
-           ";\n";
-    S += "  size_t i = 0;\n  uint64_t x = 0;\n  (void)x;\n";
-    S += "  goto S" + std::to_string(A.initialState()) + ";\n";
-    // Each state's rule body is brace-scoped so its temporaries neither
-    // collide across states nor are crossed by gotos.
-    for (unsigned Q = 0; Q < A.numStates(); ++Q) {
-      S += "S" + std::to_string(Q) + ":\n";
-      S += "  if (i >= n) goto F" + std::to_string(Q) + ";\n";
-      S += "  x = in[i++];\n";
-      S += deltaCode(Q);
-    }
-    for (unsigned Q = 0; Q < A.numStates(); ++Q) {
-      S += "F" + std::to_string(Q) + ":\n  {\n";
-      S += ruleCode(A.finalizer(Q).get(), /*IsFinalizer=*/true, 1);
-      S += "  }\n";
-    }
-    S += "}\n";
-    return S;
-  }
-
-  /// The suspend/resume entry points (CodeGenOptions::EmitStreaming).
-  /// The state block layout is st[0] = control state, st[1..] = register
-  /// leaves in flattening order — the same order the one-shot function
-  /// declares its r<i> locals.
-  std::string streaming() {
+  /// The suspend/resume entry points, then the one-shot wrapper over
+  /// them.  The state block layout is st[0] = control state, st[1..] =
+  /// register leaves in flattening order (the r<i> locals).
+  std::string entryPoints() {
     const std::string &N = Opts.FunctionName;
     std::vector<uint64_t> Init;
     flattenInit(A.initialRegister(), Init);
 
     std::string S;
-    S += "[[maybe_unused]] static const size_t " + N + "_state_words = " +
+    S += "static const size_t " + N + "_state_words = " +
          std::to_string(1 + NumLeaves) + ";\n\n";
 
     S += "static void " + N + "_init(uint64_t *st) {\n";
@@ -323,19 +284,22 @@ public:
     S += "}\n\n";
 
     // feed: resume at the saved control state; at end of chunk suspend
-    // (persist state + registers) instead of falling into the finalizer.
+    // (persist state + registers).  Run kernels block-scan with `scan`.
     S += "static bool " + N +
          "_feed(uint64_t *st, const uint64_t *in, size_t n, "
-         "std::vector<uint64_t> &out) {\n";
+         "std::vector<uint64_t> &out, efc_scan_fn scan) {\n";
     for (unsigned I = 0; I < NumLeaves; ++I)
       S += "  uint64_t r" + std::to_string(I) + " = st[" +
            std::to_string(I + 1) + "];\n";
-    S += "  size_t i = 0;\n  uint64_t x = 0;\n  (void)x;\n";
+    S += "  size_t i = 0;\n  uint64_t x = 0;\n"
+         "  (void)x;\n  (void)out;\n  (void)scan;\n";
     S += "  switch (st[0]) {\n";
     for (unsigned Q = 0; Q < A.numStates(); ++Q)
       S += "  case " + std::to_string(Q) + ": goto S" + std::to_string(Q) +
            ";\n";
     S += "  default: return false;\n  }\n";
+    // Each state's rule body is brace-scoped so its temporaries neither
+    // collide across states nor are crossed by gotos.
     for (unsigned Q = 0; Q < A.numStates(); ++Q) {
       S += "S" + std::to_string(Q) + ":\n";
       S += "  if (i >= n) {\n    st[0] = " + std::to_string(Q) + "ull;\n";
@@ -355,6 +319,7 @@ public:
     for (unsigned I = 0; I < NumLeaves; ++I)
       S += "  uint64_t r" + std::to_string(I) + " = st[" +
            std::to_string(I + 1) + "]; (void)r" + std::to_string(I) + ";\n";
+    S += "  (void)out;\n";
     S += "  switch (st[0]) {\n";
     for (unsigned Q = 0; Q < A.numStates(); ++Q)
       S += "  case " + std::to_string(Q) + ": goto F" + std::to_string(Q) +
@@ -365,6 +330,16 @@ public:
       S += ruleCode(A.finalizer(Q).get(), /*IsFinalizer=*/true, 1);
       S += "  }\n";
     }
+    S += "}\n\n";
+
+    // One-shot: a single feed over the whole input on a local state
+    // block, block-scanning with the scalar no-op.
+    S += "[[maybe_unused]] static bool " + N +
+         "(const uint64_t *in, size_t n, std::vector<uint64_t> &out) {\n";
+    S += "  uint64_t st[" + N + "_state_words];\n";
+    S += "  " + N + "_init(st);\n";
+    S += "  return " + N + "_feed(st, in, n, out, efc_scan_none) && " + N +
+         "_finish(st, out);\n";
     S += "}\n";
     return S;
   }
@@ -435,8 +410,8 @@ private:
   /// byte, scan to the end of the run (same SWAR shape and stop
   /// conditions as the VM's scanRunEnd, so span boundaries coincide),
   /// apply the kernel's effect to the whole span, and re-enter the state
-  /// label — which handles end-of-chunk (one-shot finalize or streaming
-  /// suspend) exactly like per-element stepping would.
+  /// label — which suspends at end of chunk exactly like per-element
+  /// stepping would.
   std::string runCode(unsigned Q, unsigned K) {
     const RunKernel &RK = Kernels[Q][K];
     const bool Esc = RK.SingleEscape >= 0;
@@ -451,12 +426,13 @@ private:
     const bool NeedsStart = RK.K != RunKernel::Kind::Skip;
     if (NeedsStart)
       S += "      size_t rs = i - 1;\n";
-    // Shuffle-classified block scan first (whole 16/32-element strides;
-    // no-op below AVX2), then the SWAR loop and the scalar tail pin down
+    // The caller's nibble block scanner first (whole 16/32-element
+    // blocks at the host's active ISA level; the standalone wrapper
+    // passes a no-op), then the SWAR loop and the scalar tail pin down
     // the exact span end — the same ladder as the VM's scanRunEnd, so
     // span boundaries coincide at every ISA level.
     if (RK.NT.Valid)
-      S += "      i = efc_scan_nib(in, i, n, " + ntName(Q, K) + "_lo, " +
+      S += "      i = scan(in, i, n, " + ntName(Q, K) + "_lo, " +
            ntName(Q, K) + "_hi);\n";
     S += "      while (i + 4 <= n) {\n";
     S += "        uint64_t ra = in[i], rb = in[i + 1], rc = in[i + 2], "
@@ -585,144 +561,22 @@ std::string efc::generateCpp(const Bst &A, const CodeGenOptions &Opts,
        "<< w) - 1; return b >= w ? (uint64_t)(s < 0 ? -1 : 0) & m : "
        "(uint64_t)(s >> b) & m; }\n";
   S += "static inline uint64_t efc_runbit(const uint64_t *m, uint64_t x) "
-       "{ return (m[x >> 6] >> (x & 63)) & 1ull; }\n\n";
+       "{ return (m[x >> 6] >> (x & 63)) & 1ull; }\n";
+  // Run kernels block-scan through a caller-supplied nibble scanner (the
+  // host's vm/FastPath nibbleScanner() under NativeTransducer), so the
+  // unit carries no ISA-specific code of its own.
+  S += "typedef size_t (*efc_scan_fn)(const uint64_t *, size_t, size_t, "
+       "const unsigned char *, const unsigned char *);\n";
+  S += "static inline size_t efc_scan_none(const uint64_t *, size_t i, "
+       "size_t, const unsigned char *, const unsigned char *) { return i; "
+       "}\n\n";
 
   UnitEmitter U(A, Opts);
-  if (U.anyNibbleKernel()) {
-    // Shuffle-classified block scan, dispatched once per process on the
-    // detected ISA (clamped down by EFC_SIMD).  Advances only by whole
-    // 16/32-element blocks that classify entirely in-set; the emitted
-    // SWAR loop and scalar tail after it pin down the exact span end, so
-    // every level — including the scalar no-op fallback — yields the
-    // same boundaries.  Target attributes keep this buildable without
-    // -mavx2 on the command line.
-    S += "#if defined(__x86_64__) && defined(__GNUC__)\n"
-         "#include <immintrin.h>\n"
-         "#include <cstdlib>\n"
-         "#include <cstring>\n"
-         "static int efc_simd_level() {\n"
-         "  static const int L = [] {\n"
-         "    int l = 1;\n"
-         "    if (__builtin_cpu_supports(\"avx2\")) l = 2;\n"
-         "    if (__builtin_cpu_supports(\"avx512f\") &&\n"
-         "        __builtin_cpu_supports(\"avx512bw\") &&\n"
-         "        __builtin_cpu_supports(\"avx512vl\")) l = 3;\n"
-         "    if (const char *e = std::getenv(\"EFC_SIMD\")) {\n"
-         "      int r = l;\n"
-         "      if (!std::strcmp(e, \"scalar\")) r = 0;\n"
-         "      else if (!std::strcmp(e, \"sse2\")) r = 1;\n"
-         "      else if (!std::strcmp(e, \"avx2\")) r = 2;\n"
-         "      else if (!std::strcmp(e, \"avx512\")) r = 3;\n"
-         "      if (r < l) l = r;\n"
-         "    }\n"
-         "    return l;\n"
-         "  }();\n"
-         "  return L;\n"
-         "}\n"
-         "__attribute__((target(\"avx2\"))) static size_t\n"
-         "efc_scan_nib_avx2(const uint64_t *in, size_t i, size_t n,\n"
-         "                  const unsigned char *lo, const unsigned char "
-         "*hi) {\n"
-         "  const __m256i Lo2 = _mm256_broadcastsi128_si256(\n"
-         "      _mm_loadu_si128((const __m128i *)lo));\n"
-         "  const __m256i Hi2 = _mm256_broadcastsi128_si256(\n"
-         "      _mm_loadu_si128((const __m128i *)hi));\n"
-         "  const __m256i Wide = _mm256_set1_epi64x(~0xFFll);\n"
-         "  const __m256i Nib = _mm256_set1_epi8(0x0F);\n"
-         "  const __m256i Zero = _mm256_setzero_si256();\n"
-         "  while (i + 16 <= n) {\n"
-         "    __m256i A = _mm256_loadu_si256((const __m256i *)(in + i));\n"
-         "    __m256i B = _mm256_loadu_si256((const __m256i *)(in + i + "
-         "4));\n"
-         "    __m256i C = _mm256_loadu_si256((const __m256i *)(in + i + "
-         "8));\n"
-         "    __m256i D = _mm256_loadu_si256((const __m256i *)(in + i + "
-         "12));\n"
-         "    __m256i Or = _mm256_or_si256(_mm256_or_si256(A, B),\n"
-         "                                 _mm256_or_si256(C, D));\n"
-         "    if (!_mm256_testz_si256(Or, Wide)) break;\n"
-         "    __m256i Bytes = _mm256_packus_epi16(_mm256_packus_epi32(A, "
-         "B),\n"
-         "                                        _mm256_packus_epi32(C, "
-         "D));\n"
-         "    __m256i Cl = _mm256_and_si256(\n"
-         "        _mm256_shuffle_epi8(Lo2, _mm256_and_si256(Bytes, Nib)),\n"
-         "        _mm256_shuffle_epi8(Hi2,\n"
-         "            _mm256_and_si256(_mm256_srli_epi16(Bytes, 4), "
-         "Nib)));\n"
-         "    unsigned Esc = (unsigned)_mm256_movemask_epi8(\n"
-         "        _mm256_cmpeq_epi8(Cl, Zero));\n"
-         "    if (Esc & 0x55555555u) break;\n"
-         "    i += 16;\n"
-         "  }\n"
-         "  return i;\n"
-         "}\n"
-         "__attribute__((target(\"avx512f,avx512bw,avx512vl,avx2\"))) "
-         "static size_t\n"
-         "efc_scan_nib_avx512(const uint64_t *in, size_t i, size_t n,\n"
-         "                    const unsigned char *lo, const unsigned char "
-         "*hi) {\n"
-         "  const __m256i Lo2 = _mm256_broadcastsi128_si256(\n"
-         "      _mm_loadu_si128((const __m128i *)lo));\n"
-         "  const __m256i Hi2 = _mm256_broadcastsi128_si256(\n"
-         "      _mm_loadu_si128((const __m128i *)hi));\n"
-         "  const __m512i Wide = _mm512_set1_epi64(~0xFFll);\n"
-         "  const __m256i Nib = _mm256_set1_epi8(0x0F);\n"
-         "  const __m256i Zero = _mm256_setzero_si256();\n"
-         "  while (i + 32 <= n) {\n"
-         "    __m512i A = _mm512_loadu_si512(in + i);\n"
-         "    __m512i B = _mm512_loadu_si512(in + i + 8);\n"
-         "    __m512i C = _mm512_loadu_si512(in + i + 16);\n"
-         "    __m512i D = _mm512_loadu_si512(in + i + 24);\n"
-         "    __m512i Or = _mm512_or_si512(_mm512_or_si512(A, B),\n"
-         "                                 _mm512_or_si512(C, D));\n"
-         "    if (_mm512_test_epi64_mask(Or, Wide)) break;\n"
-         "    __m128i B0 = _mm512_cvtepi64_epi8(A);\n"
-         "    __m128i B1 = _mm512_cvtepi64_epi8(B);\n"
-         "    __m128i B2 = _mm512_cvtepi64_epi8(C);\n"
-         "    __m128i B3 = _mm512_cvtepi64_epi8(D);\n"
-         "    __m256i Bytes = _mm256_set_m128i(_mm_unpacklo_epi64(B2, "
-         "B3),\n"
-         "                                     _mm_unpacklo_epi64(B0, "
-         "B1));\n"
-         "    __m256i Cl = _mm256_and_si256(\n"
-         "        _mm256_shuffle_epi8(Lo2, _mm256_and_si256(Bytes, Nib)),\n"
-         "        _mm256_shuffle_epi8(Hi2,\n"
-         "            _mm256_and_si256(_mm256_srli_epi16(Bytes, 4), "
-         "Nib)));\n"
-         "    if (_mm256_movemask_epi8(_mm256_cmpeq_epi8(Cl, Zero))) "
-         "break;\n"
-         "    i += 32;\n"
-         "  }\n"
-         "  return efc_scan_nib_avx2(in, i, n, lo, hi);\n"
-         "}\n"
-         "static size_t efc_scan_nib(const uint64_t *in, size_t i, size_t "
-         "n,\n"
-         "                           const unsigned char *lo,\n"
-         "                           const unsigned char *hi) {\n"
-         "  const int L = efc_simd_level();\n"
-         "  if (L >= 3) return efc_scan_nib_avx512(in, i, n, lo, hi);\n"
-         "  if (L >= 2) return efc_scan_nib_avx2(in, i, n, lo, hi);\n"
-         "  return i;\n"
-         "}\n"
-         "#else\n"
-         "static inline size_t efc_scan_nib(const uint64_t *, size_t i, "
-         "size_t,\n"
-         "                                  const unsigned char *,\n"
-         "                                  const unsigned char *) {\n"
-         "  return i;\n"
-         "}\n"
-         "#endif\n\n";
-  }
   S += U.tables();
   S += "[[maybe_unused]] static const unsigned long long " +
        Opts.FunctionName + "_classifier_hash = " + hex(classifierHash(A)) +
        ";\n\n";
-  S += U.function();
-  if (Opts.EmitStreaming) {
-    S += "\n";
-    S += U.streaming();
-  }
+  S += U.entryPoints();
 
   if (Opts.EmitMain) {
     S += "\nint main() {\n";

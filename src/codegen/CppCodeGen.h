@@ -5,7 +5,10 @@
 /// a labeled code block implements its transition rule as a tree of
 /// if/else statements whose leaves emit outputs, update register fields
 /// and jump (goto) to the target state's block.  The generated unit is
-/// self-contained C++17 operating on uint64_t elements.
+/// self-contained C++17 operating on uint64_t elements.  Each state block
+/// is emitted once, in the streaming entry point; the one-shot function
+/// is a few-line wrapper over it.  The unit holds no ISA-specific code:
+/// run kernels take their nibble block scanner as a parameter.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -21,25 +24,12 @@ namespace efc {
 
 /// Options for the generated unit.
 struct CodeGenOptions {
-  /// Name of the generated function.
+  /// Name of the one-shot function and prefix of the streaming entries.
   std::string FunctionName = "transduce";
   /// Also emit a main() that checks embedded test vectors and returns 0
   /// on success (used by the self-check test which compiles and runs the
   /// generated code with the host compiler).
   bool EmitMain = false;
-  /// Also emit the suspend/resume entry points used by the streaming
-  /// runtime (StreamSession):
-  ///
-  ///   <name>_state_words          constant: control state + register leaves
-  ///   <name>_init(uint64_t *st)   resets st to the initial configuration
-  ///   <name>_feed(st, in, n, out) consumes a chunk, suspends at its end
-  ///   <name>_finish(st, out)      runs the finalizer of the saved state
-  ///
-  /// The state block persists the control state (st[0]) and every register
-  /// leaf (st[1..]) across calls, so feeding a split input chunk by chunk
-  /// is byte-identical to one <name>(in, n, out) call over the whole
-  /// input.  feed/finish return false on rejection.
-  bool EmitStreaming = false;
   /// Emit bulk run loops for self-loop byte classes (the same kernels the
   /// VM fast path drives; see vm/FastPath.h RunKernel).  Off only for A/B
   /// measurement — generated code stays semantically identical either way.
@@ -53,9 +43,25 @@ struct CodeGenTestVector {
   std::vector<uint64_t> Output; // checked only when Accepts
 };
 
-/// Generates a self-contained C++ translation unit implementing ⟦A⟧ as
-///   bool <name>(const uint64_t *in, size_t n, std::vector<uint64_t> &out)
-/// returning false on rejection.  Input and output types must be scalar.
+/// Generates a self-contained C++ translation unit implementing ⟦A⟧.
+/// Input and output types must be scalar.  The unit defines:
+///
+///   <name>_state_words          constant: control state + register leaves
+///   <name>_init(uint64_t *st)   resets st to the initial configuration
+///   <name>_feed(st, in, n, out, scan)
+///                               consumes a chunk, suspends at its end
+///   <name>_finish(st, out)      runs the finalizer of the saved state
+///   <name>(in, n, out)          one-shot: init, one feed, finish
+///
+/// The state block persists the control state (st[0]) and every register
+/// leaf (st[1..]) across calls, so feeding a split input chunk by chunk
+/// is byte-identical to one <name>(in, n, out) call over the whole
+/// input.  feed, finish and the one-shot function return false on
+/// rejection.  `scan` is a vm/FastPath.h NibbleScanFn (typedef
+/// efc_scan_fn): NativeTransducer passes nibbleScanner(), the host's block
+/// loop for its active ISA level; the one-shot wrapper passes a no-op, so
+/// a standalone unit scans with its scalar loops alone.  Span boundaries
+/// do not depend on the scanner.
 std::string generateCpp(const Bst &A, const CodeGenOptions &Opts = {},
                         const std::vector<CodeGenTestVector> &Vectors = {});
 

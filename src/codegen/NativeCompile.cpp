@@ -81,11 +81,10 @@ NativeTransducer::~NativeTransducer() {
 }
 
 NativeTransducer::NativeTransducer(NativeTransducer &&O) noexcept
-    : Handle(O.Handle), Func(O.Func), WordsFn(O.WordsFn), InitFn(O.InitFn),
+    : Handle(O.Handle), WordsFn(O.WordsFn), InitFn(O.InitFn),
       FeedFn(O.FeedFn), FinishFn(O.FinishFn),
       ClassifierHash(O.ClassifierHash) {
   O.Handle = nullptr;
-  O.Func = nullptr;
   O.WordsFn = nullptr;
   O.InitFn = nullptr;
   O.FeedFn = nullptr;
@@ -98,14 +97,12 @@ NativeTransducer &NativeTransducer::operator=(NativeTransducer &&O) noexcept {
     if (Handle)
       dlclose(Handle);
     Handle = O.Handle;
-    Func = O.Func;
     WordsFn = O.WordsFn;
     InitFn = O.InitFn;
     FeedFn = O.FeedFn;
     FinishFn = O.FinishFn;
     ClassifierHash = O.ClassifierHash;
     O.Handle = nullptr;
-    O.Func = nullptr;
     O.WordsFn = nullptr;
     O.InitFn = nullptr;
     O.FeedFn = nullptr;
@@ -153,7 +150,6 @@ NativeTransducer::compile(const Bst &A, const std::string &Tag,
   trace::Span NativeSp("native");
   CodeGenOptions Opts;
   Opts.FunctionName = "efc_impl";
-  Opts.EmitStreaming = true;
   std::string Source;
   {
     trace::Span CgSp("codegen");
@@ -162,15 +158,13 @@ NativeTransducer::compile(const Bst &A, const std::string &Tag,
   }
   // Exported entry points with stable names.
   Source +=
-      "\nextern \"C\" bool efc_transduce(const uint64_t *in, size_t "
-      "n, std::vector<uint64_t> &out) { return efc_impl(in, n, out); }\n"
-      "extern \"C\" size_t efc_stream_state_words() { return "
+      "\nextern \"C\" size_t efc_stream_state_words() { return "
       "efc_impl_state_words; }\n"
       "extern \"C\" void efc_stream_init(uint64_t *st) { efc_impl_init(st); "
       "}\n"
       "extern \"C\" bool efc_stream_feed(uint64_t *st, const uint64_t *in, "
-      "size_t n, std::vector<uint64_t> &out) { return efc_impl_feed(st, in, "
-      "n, out); }\n"
+      "size_t n, std::vector<uint64_t> &out, efc_scan_fn scan) { return "
+      "efc_impl_feed(st, in, n, out, scan); }\n"
       "extern \"C\" bool efc_stream_finish(uint64_t *st, "
       "std::vector<uint64_t> &out) { return efc_impl_finish(st, out); }\n"
       "extern \"C\" unsigned long long efc_classifier_hash() { return "
@@ -197,18 +191,17 @@ NativeTransducer::compile(const Bst &A, const std::string &Tag,
         *Err = std::string("dlopen: ") + dlerror();
       return std::nullopt;
     }
-    T.Func = reinterpret_cast<Fn>(dlsym(T.Handle, "efc_transduce"));
-    if (!T.Func) {
-      if (Err)
-        *Err = "missing efc_transduce symbol";
-      return std::nullopt;
-    }
     T.WordsFn =
         reinterpret_cast<WordsFnTy>(dlsym(T.Handle, "efc_stream_state_words"));
     T.InitFn = reinterpret_cast<InitFnTy>(dlsym(T.Handle, "efc_stream_init"));
     T.FeedFn = reinterpret_cast<FeedFnTy>(dlsym(T.Handle, "efc_stream_feed"));
     T.FinishFn =
         reinterpret_cast<FinishFnTy>(dlsym(T.Handle, "efc_stream_finish"));
+    if (!T.WordsFn || !T.InitFn || !T.FeedFn || !T.FinishFn) {
+      if (Err)
+        *Err = "missing efc_stream_* entry point";
+      return std::nullopt;
+    }
     if (auto HashFn = reinterpret_cast<HashFnTy>(
             dlsym(T.Handle, "efc_classifier_hash"))) {
       T.ClassifierHash = HashFn();
@@ -312,8 +305,9 @@ NativeTransducer::compile(const Bst &A, const std::string &Tag,
 
 std::optional<std::vector<uint64_t>>
 NativeTransducer::run(const uint64_t *In, size_t N) const {
-  std::vector<uint64_t> Out;
-  if (!Func(In, N, Out))
+  std::vector<uint64_t> St(stateWords()), Out;
+  streamInit(St.data());
+  if (!streamFeed(St.data(), In, N, Out) || !streamFinish(St.data(), Out))
     return std::nullopt;
   return Out;
 }

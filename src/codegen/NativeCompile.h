@@ -9,9 +9,21 @@
 ///
 /// Compiled artifacts are cached on disk keyed by a content hash of the
 /// generated source, so re-compiling the same pipeline reloads the .so
-/// without invoking the host compiler (see cacheDir()).  Every unit also
-/// exports the streaming suspend/resume entry points used by the runtime
-/// subsystem (runtime/StreamSession.h).
+/// without invoking the host compiler (see cacheDir()).  The unit exports
+/// the streaming suspend/resume entry points (CppCodeGen.h) and the
+/// classifier hash, and nothing else:
+///
+///   size_t efc_stream_state_words()
+///   void   efc_stream_init(uint64_t *st)
+///   bool   efc_stream_feed(st, in, n, out, scan)
+///   bool   efc_stream_finish(st, out)
+///   unsigned long long efc_classifier_hash()
+///
+/// run() and StreamSession (runtime/StreamSession.h) both go through
+/// them.  Every feed passes the host's nibble block scanner for the
+/// active level (vm/FastPath.h nibbleScanner()) as `scan`, so EFC_SIMD and
+/// simd::setActiveLevelForTesting reach native code through the host,
+/// and the .so keeps no state that depends on load order.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -19,6 +31,7 @@
 #define EFC_CODEGEN_NATIVECOMPILE_H
 
 #include "bst/Bst.h"
+#include "vm/FastPath.h"
 
 #include <cstdint>
 #include <memory>
@@ -67,7 +80,8 @@ public:
   /// when set, ".efc-cache" otherwise.  Created on demand.
   static std::string cacheDir();
 
-  /// Runs the transduction; std::nullopt when the input is rejected.
+  /// Runs the transduction (init, one feed, finish); std::nullopt when
+  /// the input is rejected.
   std::optional<std::vector<uint64_t>>
   run(const uint64_t *In, size_t N) const;
   std::optional<std::vector<uint64_t>>
@@ -75,18 +89,15 @@ public:
     return run(In.data(), In.size());
   }
 
-  /// Suspend/resume execution (generated *_feed/*_finish entry points).
-  /// A state block of stateWords() uint64s persists the control state and
+  /// Suspend/resume execution (the efc_stream_* entry points).  A state
+  /// block of stateWords() uint64s persists the control state and
   /// registers across feed calls; chunked feeding over any boundaries is
-  /// byte-identical to one run().  All four symbols are exported by every
-  /// freshly generated unit; streamingAvailable() guards artifacts built
-  /// before streaming existed.
-  bool streamingAvailable() const { return InitFn && FeedFn && FinishFn; }
-  size_t stateWords() const { return WordsFn ? WordsFn() : 0; }
+  /// byte-identical to one run().
+  size_t stateWords() const { return WordsFn(); }
   void streamInit(uint64_t *St) const { InitFn(St); }
   bool streamFeed(uint64_t *St, const uint64_t *In, size_t N,
                   std::vector<uint64_t> &Out) const {
-    return FeedFn(St, In, N, Out);
+    return FeedFn(St, In, N, Out, nibbleScanner());
   }
   bool streamFinish(uint64_t *St, std::vector<uint64_t> &Out) const {
     return FinishFn(St, Out);
@@ -103,14 +114,12 @@ public:
 private:
   NativeTransducer() = default;
   void *Handle = nullptr;
-  using Fn = bool (*)(const uint64_t *, size_t, std::vector<uint64_t> &);
   using WordsFnTy = size_t (*)();
   using InitFnTy = void (*)(uint64_t *);
   using FeedFnTy = bool (*)(uint64_t *, const uint64_t *, size_t,
-                            std::vector<uint64_t> &);
+                            std::vector<uint64_t> &, NibbleScanFn);
   using FinishFnTy = bool (*)(uint64_t *, std::vector<uint64_t> &);
   using HashFnTy = uint64_t (*)();
-  Fn Func = nullptr;
   WordsFnTy WordsFn = nullptr;
   InitFnTy InitFn = nullptr;
   FeedFnTy FeedFn = nullptr;

@@ -134,7 +134,7 @@ private:
 
 std::string cacheKey(std::string_view PassName, uint64_t InHash,
                      uint64_t OptHash) {
-  char Buf[2 * 16 + 2];
+  char Buf[2 * (1 + 16) + 1]; // ":%016llx" twice, then the NUL
   snprintf(Buf, sizeof(Buf), ":%016llx:%016llx",
            (unsigned long long)InHash, (unsigned long long)OptHash);
   return std::string(PassName) + Buf;

@@ -53,7 +53,10 @@ struct PipelineSpec {
   std::string Pattern;          ///< regex pattern or XPath query
   std::string Agg = "none";     ///< max | min | avg | none
   std::string Format = "lines"; ///< decimal | lines | sql
-  bool Rbbe = true;             ///< reachability-based branch elimination
+  /// Reachability-based branch elimination.  Off by default: on the
+  /// benchmark's served specs it removed 2 branches in all, at
+  /// 0.12-0.20 s per spec (EXPERIMENTS.md "Cold compile").
+  bool Rbbe = false;
   bool Minimize = false;        ///< control-state minimization
   /// RBBE solver-check budget override; 0 keeps RbbeOptions'
   /// MaxSolverChecks default.  Serialized (and therefore part of the

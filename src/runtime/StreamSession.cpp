@@ -42,10 +42,7 @@ StreamSession StreamSession::overFast(const FastPathPlan &P,
   return S;
 }
 
-std::optional<StreamSession>
-StreamSession::overNative(const NativeTransducer &T) {
-  if (!T.streamingAvailable())
-    return std::nullopt;
+StreamSession StreamSession::overNative(const NativeTransducer &T) {
   StreamSession S;
   S.Kind = Backend::Native;
   S.Nat = &T;
@@ -82,11 +79,6 @@ StreamSession::open(std::shared_ptr<const CompiledPipeline> P, Backend B,
       return std::nullopt;
     }
     S = overNative(*N);
-    if (!S) {
-      if (Err)
-        *Err = "native artifact lacks streaming entry points";
-      return std::nullopt;
-    }
   }
   S->Keep = std::move(P);
   return S;

@@ -13,8 +13,7 @@
 ///
 /// Backends: the bytecode VM (CompiledTransducer::Cursor), the mixed-mode
 /// byte-class fast path (vm/FastPath.h, the default), and the native .so
-/// (the *_feed/*_finish suspend/resume entry points generated under
-/// CodeGenOptions::EmitStreaming).
+/// (its efc_stream_* suspend/resume entry points, codegen/NativeCompile.h).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -39,8 +38,8 @@ public:
   enum class Backend { Vm, Fast, Native };
 
   /// Opens a session over a cache entry (shared ownership keeps the
-  /// entry alive across evictions).  The native backend requires the
-  /// entry's artifact to export the streaming symbols.
+  /// entry alive across evictions).  The native backend fails when the
+  /// entry's artifact cannot be built or loaded.
   static std::optional<StreamSession>
   open(std::shared_ptr<const CompiledPipeline> P, Backend B,
        std::string *Err = nullptr);
@@ -50,7 +49,7 @@ public:
   static StreamSession overVm(const CompiledTransducer &T);
   static StreamSession overFast(const FastPathPlan &P,
                                 const CompiledTransducer &T);
-  static std::optional<StreamSession> overNative(const NativeTransducer &T);
+  static StreamSession overNative(const NativeTransducer &T);
 
   /// Consumes \p N input bytes.  Returns false once the pipeline has
   /// rejected the stream (sticky; later calls keep returning false).

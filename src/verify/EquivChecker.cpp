@@ -1719,7 +1719,6 @@ private:
     R.CodegenChecked = true;
     CodeGenOptions O;
     O.FunctionName = "efc_impl";
-    O.EmitStreaming = true;
     std::string Src = generateCpp(A, O);
     std::string Needle = "efc_impl_classifier_hash = ";
     size_t Pos = Src.find(Needle);

@@ -352,86 +352,106 @@ size_t scanMaskSse2(const uint64_t *In, size_t I, size_t N,
 /// irrelevant to the all-bytes-pass test), and classified with one
 /// pshufb pair: byte in set <=> Lo[b & 15] & Hi[b >> 4] != 0.
 __attribute__((target("avx2"))) size_t
-scanMaskAvx2(const uint64_t *In, size_t I, size_t N, const RunKernel &RK) {
-  if (RK.NT.Valid) {
-    const __m256i Lo2 = _mm256_broadcastsi128_si256(
-        _mm_loadu_si128(reinterpret_cast<const __m128i *>(RK.NT.Lo.data())));
-    const __m256i Hi2 = _mm256_broadcastsi128_si256(
-        _mm_loadu_si128(reinterpret_cast<const __m128i *>(RK.NT.Hi.data())));
-    const __m256i HiBits = _mm256_set1_epi64x(~0xFFll);
-    const __m256i Nib = _mm256_set1_epi8(0x0F);
-    const __m256i Zero = _mm256_setzero_si256();
-    while (I + 16 <= N) {
-      __m256i V0 =
-          _mm256_loadu_si256(reinterpret_cast<const __m256i *>(In + I));
-      __m256i V1 =
-          _mm256_loadu_si256(reinterpret_cast<const __m256i *>(In + I + 4));
-      __m256i V2 =
-          _mm256_loadu_si256(reinterpret_cast<const __m256i *>(In + I + 8));
-      __m256i V3 =
-          _mm256_loadu_si256(reinterpret_cast<const __m256i *>(In + I + 12));
-      __m256i OrAll =
-          _mm256_or_si256(_mm256_or_si256(V0, V1), _mm256_or_si256(V2, V3));
-      if (!_mm256_testz_si256(OrAll, HiBits))
-        break; // some element >= 256
-      __m256i P01 = _mm256_packus_epi32(V0, V1);
-      __m256i P23 = _mm256_packus_epi32(V2, V3);
-      __m256i B = _mm256_packus_epi16(P01, P23);
-      __m256i Cls = _mm256_and_si256(
-          _mm256_shuffle_epi8(Lo2, _mm256_and_si256(B, Nib)),
-          _mm256_shuffle_epi8(Hi2,
-                              _mm256_and_si256(_mm256_srli_epi16(B, 4), Nib)));
-      unsigned Esc = unsigned(_mm256_movemask_epi8(_mm256_cmpeq_epi8(
-          Cls, Zero))); // bit set <=> byte at that position escapes
-      if (Esc & 0x55555555u) // real bytes sit at even positions
-        break;
-      I += 16;
-    }
+nibbleBlocksAvx2(const uint64_t *In, size_t I, size_t N, const uint8_t *Lo,
+                 const uint8_t *Hi) {
+  const __m256i Lo2 = _mm256_broadcastsi128_si256(
+      _mm_loadu_si128(reinterpret_cast<const __m128i *>(Lo)));
+  const __m256i Hi2 = _mm256_broadcastsi128_si256(
+      _mm_loadu_si128(reinterpret_cast<const __m128i *>(Hi)));
+  const __m256i HiBits = _mm256_set1_epi64x(~0xFFll);
+  const __m256i Nib = _mm256_set1_epi8(0x0F);
+  const __m256i Zero = _mm256_setzero_si256();
+  while (I + 16 <= N) {
+    __m256i V0 = _mm256_loadu_si256(reinterpret_cast<const __m256i *>(In + I));
+    __m256i V1 =
+        _mm256_loadu_si256(reinterpret_cast<const __m256i *>(In + I + 4));
+    __m256i V2 =
+        _mm256_loadu_si256(reinterpret_cast<const __m256i *>(In + I + 8));
+    __m256i V3 =
+        _mm256_loadu_si256(reinterpret_cast<const __m256i *>(In + I + 12));
+    __m256i OrAll =
+        _mm256_or_si256(_mm256_or_si256(V0, V1), _mm256_or_si256(V2, V3));
+    if (!_mm256_testz_si256(OrAll, HiBits))
+      break; // some element >= 256
+    __m256i P01 = _mm256_packus_epi32(V0, V1);
+    __m256i P23 = _mm256_packus_epi32(V2, V3);
+    __m256i B = _mm256_packus_epi16(P01, P23);
+    __m256i Cls = _mm256_and_si256(
+        _mm256_shuffle_epi8(Lo2, _mm256_and_si256(B, Nib)),
+        _mm256_shuffle_epi8(Hi2,
+                            _mm256_and_si256(_mm256_srli_epi16(B, 4), Nib)));
+    unsigned Esc = unsigned(_mm256_movemask_epi8(_mm256_cmpeq_epi8(
+        Cls, Zero))); // bit set <=> byte at that position escapes
+    if (Esc & 0x55555555u) // real bytes sit at even positions
+      break;
+    I += 16;
   }
+  return I;
+}
+
+/// AVX-512: 32 elements per iteration, then AVX2 blocks.  vpmovqb packs
+/// each 512-bit load to 8 contiguous bytes (no padding), so one 256-bit
+/// shuffle pair classifies 32 real bytes.
+__attribute__((target("avx512f,avx512bw,avx512vl,avx2"))) size_t
+nibbleBlocksAvx512(const uint64_t *In, size_t I, size_t N, const uint8_t *Lo,
+                   const uint8_t *Hi) {
+  const __m256i Lo2 = _mm256_broadcastsi128_si256(
+      _mm_loadu_si128(reinterpret_cast<const __m128i *>(Lo)));
+  const __m256i Hi2 = _mm256_broadcastsi128_si256(
+      _mm_loadu_si128(reinterpret_cast<const __m128i *>(Hi)));
+  const __m512i HiBits = _mm512_set1_epi64(~0xFFll);
+  const __m256i Nib = _mm256_set1_epi8(0x0F);
+  const __m256i Zero = _mm256_setzero_si256();
+  while (I + 32 <= N) {
+    __m512i V0 = _mm512_loadu_si512(In + I);
+    __m512i V1 = _mm512_loadu_si512(In + I + 8);
+    __m512i V2 = _mm512_loadu_si512(In + I + 16);
+    __m512i V3 = _mm512_loadu_si512(In + I + 24);
+    __m512i OrAll =
+        _mm512_or_si512(_mm512_or_si512(V0, V1), _mm512_or_si512(V2, V3));
+    if (_mm512_test_epi64_mask(OrAll, HiBits))
+      break; // some element >= 256
+    __m128i B0 = _mm512_cvtepi64_epi8(V0);
+    __m128i B1 = _mm512_cvtepi64_epi8(V1);
+    __m128i B2 = _mm512_cvtepi64_epi8(V2);
+    __m128i B3 = _mm512_cvtepi64_epi8(V3);
+    __m256i B = _mm256_set_m128i(_mm_unpacklo_epi64(B2, B3),
+                                 _mm_unpacklo_epi64(B0, B1));
+    __m256i Cls = _mm256_and_si256(
+        _mm256_shuffle_epi8(Lo2, _mm256_and_si256(B, Nib)),
+        _mm256_shuffle_epi8(Hi2,
+                            _mm256_and_si256(_mm256_srli_epi16(B, 4), Nib)));
+    if (_mm256_movemask_epi8(_mm256_cmpeq_epi8(Cls, Zero)))
+      break;
+    I += 32;
+  }
+  return nibbleBlocksAvx2(In, I, N, Lo, Hi);
+}
+
+/// AVX2 and AVX-512 run ends: whole nibble-classified blocks through the
+/// loops nibbleScanner() hands to native code, then SSE2 and SWAR pin
+/// down the span end.
+__attribute__((target("avx2"))) size_t
+scanMaskAvx2(const uint64_t *In, size_t I, size_t N, const RunKernel &RK) {
+  if (RK.NT.Valid)
+    I = nibbleBlocksAvx2(In, I, N, RK.NT.Lo.data(), RK.NT.Hi.data());
   return scanMaskSse2(In, I, N, RK);
 }
 
-/// AVX-512: 32 elements per iteration.  vpmovqb packs each 512-bit load
-/// to 8 contiguous bytes (no padding), so one 256-bit shuffle pair
-/// classifies 32 real bytes.
 __attribute__((target("avx512f,avx512bw,avx512vl,avx2"))) size_t
 scanMaskAvx512(const uint64_t *In, size_t I, size_t N, const RunKernel &RK) {
-  if (RK.NT.Valid) {
-    const __m256i Lo2 = _mm256_broadcastsi128_si256(
-        _mm_loadu_si128(reinterpret_cast<const __m128i *>(RK.NT.Lo.data())));
-    const __m256i Hi2 = _mm256_broadcastsi128_si256(
-        _mm_loadu_si128(reinterpret_cast<const __m128i *>(RK.NT.Hi.data())));
-    const __m512i HiBits = _mm512_set1_epi64(~0xFFll);
-    const __m256i Nib = _mm256_set1_epi8(0x0F);
-    const __m256i Zero = _mm256_setzero_si256();
-    while (I + 32 <= N) {
-      __m512i V0 = _mm512_loadu_si512(In + I);
-      __m512i V1 = _mm512_loadu_si512(In + I + 8);
-      __m512i V2 = _mm512_loadu_si512(In + I + 16);
-      __m512i V3 = _mm512_loadu_si512(In + I + 24);
-      __m512i OrAll =
-          _mm512_or_si512(_mm512_or_si512(V0, V1), _mm512_or_si512(V2, V3));
-      if (_mm512_test_epi64_mask(OrAll, HiBits))
-        break; // some element >= 256
-      __m128i B0 = _mm512_cvtepi64_epi8(V0);
-      __m128i B1 = _mm512_cvtepi64_epi8(V1);
-      __m128i B2 = _mm512_cvtepi64_epi8(V2);
-      __m128i B3 = _mm512_cvtepi64_epi8(V3);
-      __m256i B = _mm256_set_m128i(_mm_unpacklo_epi64(B2, B3),
-                                   _mm_unpacklo_epi64(B0, B1));
-      __m256i Cls = _mm256_and_si256(
-          _mm256_shuffle_epi8(Lo2, _mm256_and_si256(B, Nib)),
-          _mm256_shuffle_epi8(Hi2,
-                              _mm256_and_si256(_mm256_srli_epi16(B, 4), Nib)));
-      if (_mm256_movemask_epi8(_mm256_cmpeq_epi8(Cls, Zero)))
-        break;
-      I += 32;
-    }
-  }
-  return scanMaskAvx2(In, I, N, RK);
+  if (RK.NT.Valid)
+    I = nibbleBlocksAvx512(In, I, N, RK.NT.Lo.data(), RK.NT.Hi.data());
+  return scanMaskSse2(In, I, N, RK);
 }
 
 #endif // __x86_64__
+
+/// Below AVX2 the block scan is a no-op: the scalar tails do the work.
+size_t nibbleBlocksNone(const uint64_t *, size_t I, size_t, const uint8_t *,
+                        const uint8_t *) {
+  return I;
+}
 
 /// Scalar alternation: legs must strictly interleave M1,M2,M1,...
 /// starting on M1 at \p I.
@@ -513,14 +533,23 @@ constexpr ScanFn ScanKernels[4] = {scanMaskScalar, scanMaskSse2, scanMaskAvx2,
                                    scanMaskAvx512};
 constexpr AltFn AltKernels[4] = {scanAltScalar, scanAltScalar, scanAltAvx2,
                                  scanAltAvx2};
+constexpr NibbleScanFn NibbleKernels[4] = {nibbleBlocksNone, nibbleBlocksNone,
+                                           nibbleBlocksAvx2,
+                                           nibbleBlocksAvx512};
 #else
 constexpr ScanFn ScanKernels[4] = {scanMaskScalar, scanMaskScalar,
                                    scanMaskScalar, scanMaskScalar};
 constexpr AltFn AltKernels[4] = {scanAltScalar, scanAltScalar, scanAltScalar,
                                  scanAltScalar};
+constexpr NibbleScanFn NibbleKernels[4] = {nibbleBlocksNone, nibbleBlocksNone,
+                                           nibbleBlocksNone, nibbleBlocksNone};
 #endif
 
 } // namespace
+
+NibbleScanFn efc::nibbleScanner() {
+  return NibbleKernels[int(simd::activeLevel())];
+}
 
 size_t efc::scanRunEnd(const uint64_t *In, size_t I, size_t N,
                        const RunKernel &RK) {

@@ -157,6 +157,22 @@ std::vector<RunKernel> classifyRunKernels(const Bst &A, unsigned Q,
 /// forces a lower level.
 size_t scanRunEnd(const uint64_t *In, size_t I, size_t N, const RunKernel &RK);
 
+/// A nibble block scanner: advances \p I over whole blocks whose elements
+/// are all < 256 and in the set \p Lo / \p Hi encode (a NibbleTable).  It
+/// stops at a block boundary, not at the span end, so callers finish the
+/// span with a scalar loop and every level yields the same boundaries.
+using NibbleScanFn = size_t (*)(const uint64_t *In, size_t I, size_t N,
+                                const uint8_t *Lo, const uint8_t *Hi);
+
+/// The nibble block scanner of the active level: 32-element blocks, then
+/// 16-element ones, at AVX-512; 16-element blocks at AVX2; below AVX2 one
+/// that returns I unchanged.  scanRunEnd runs the same loops, and
+/// generated native code calls the returned function (NativeTransducer
+/// passes it into every efc_stream_feed), so VM and native share one
+/// implementation.  Resolving the level here, once per feed, keeps the
+/// per-span call a direct jump into the loop.
+NibbleScanFn nibbleScanner();
+
 /// Two-state speculative transition pair: in state Q, bytes of M1 all
 /// share one Const/Jump action into state P, and in P bytes of M2 all
 /// share one Const/Jump action back into Q.  A block that alternates

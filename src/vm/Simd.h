@@ -7,9 +7,10 @@
 /// `EFC_SIMD=scalar|sse2|avx2|avx512` clamps the active level below the
 /// detected one (never above: requesting avx512 on an sse2 box degrades
 /// to the detected level with a one-time stderr note), so the scalar and
-/// SSE2 fallback paths stay testable on wide machines.  The same
-/// environment contract is honored by CppCodeGen-emitted native code, so
-/// a forced level applies to every backend at once.
+/// SSE2 fallback paths stay testable on wide machines.  Native code
+/// reads the level through the host: its run kernels call the scanner
+/// vm/FastPath.h nibbleScanner() picks, passed in on every feed, so a
+/// forced level applies to every backend at once.
 ///
 //===----------------------------------------------------------------------===//
 

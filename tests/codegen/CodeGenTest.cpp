@@ -51,10 +51,10 @@ protected:
     return V;
   }
 
-  /// Compiles and runs a generated unit; returns the exit code, or -1 if
-  /// the compiler is unavailable.
-  static int compileAndRun(const std::string &Source,
-                           const std::string &Tag) {
+  /// Compiles (with extra \p Flags) and runs a generated unit; returns 0
+  /// when main() passes, 100 when the unit does not compile, 1 otherwise.
+  static int compileAndRun(const std::string &Source, const std::string &Tag,
+                           const std::string &Flags = "") {
     std::string Dir = ::testing::TempDir();
     std::string Src = Dir + "/efc_gen_" + Tag + ".cpp";
     std::string Bin = Dir + "/efc_gen_" + Tag;
@@ -62,8 +62,8 @@ protected:
       std::ofstream F(Src);
       F << Source;
     }
-    std::string Compile =
-        "c++ -std=c++17 -O1 -o " + Bin + " " + Src + " 2>" + Bin + ".log";
+    std::string Compile = "c++ -std=c++17 -O1 " + Flags + " -o " + Bin + " " +
+                          Src + " 2>" + Bin + ".log";
     if (std::system(Compile.c_str()) != 0)
       return 100; // compile failure
     return std::system(Bin.c_str()) == 0 ? 0 : 1;
@@ -166,6 +166,42 @@ TEST_F(CodeGenTest, RunAccelOnOffBothCompileAndCheck) {
       << "RunAccel=false must emit no run scan loops";
   EXPECT_EQ(compileAndRun(SOn, "html_runs_on"), 0);
   EXPECT_EQ(compileAndRun(SOff, "html_runs_off"), 0);
+}
+
+TEST_F(CodeGenTest, NibblePipelineEmitsEachStateOnce) {
+  // A fused pipeline whose run kernels carry nibble tables: every state
+  // block and finalizer is emitted once (the streaming entry points; the
+  // one-shot function wraps them), and the unit has no ISA-specific code
+  // of its own — its block scans go through the `scan` parameter.
+  Bst Rep = lib::makeRep(Ctx);
+  Bst Html = lib::makeHtmlEncode(Ctx);
+  Solver S(Ctx);
+  Bst Clean = eliminateUnreachableBranches(fuse(Rep, Html, S), S);
+
+  std::u16string Long(300, u'e');
+  Long[120] = u'&';
+  CodeGenOptions Opts;
+  Opts.FunctionName = "html_once";
+  Opts.EmitMain = true;
+  std::string Src = generateCpp(
+      Clean, Opts, {vectorFor(Clean, lib::valuesFromChars(Long))});
+  ASSERT_NE(Src.find("i = scan(in, i, n, "), std::string::npos)
+      << "the pipeline must have a nibble-table run kernel";
+  auto Count = [&](const std::string &Needle) {
+    size_t N = 0;
+    for (size_t P = Src.find(Needle); P != std::string::npos;
+         P = Src.find(Needle, P + 1))
+      ++N;
+    return N;
+  };
+  for (unsigned Q = 0; Q < Clean.numStates(); ++Q) {
+    EXPECT_EQ(Count("\nS" + std::to_string(Q) + ":\n"), 1u) << "S" << Q;
+    EXPECT_EQ(Count("\nF" + std::to_string(Q) + ":\n"), 1u) << "F" << Q;
+  }
+  EXPECT_EQ(Src.find("immintrin"), std::string::npos);
+  EXPECT_EQ(Src.find("EFC_SIMD"), std::string::npos);
+  EXPECT_EQ(Src.find("target("), std::string::npos);
+  EXPECT_EQ(compileAndRun(Src, "html_once", "-Wall -Wextra -Werror"), 0);
 }
 
 TEST_F(CodeGenTest, WindowedAverageCompilesAndChecks) {

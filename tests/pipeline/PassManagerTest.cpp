@@ -10,6 +10,7 @@
 //    sequence,
 //  * cache-key precision — an RBBE-budget-only respec re-keys `rbbe` but
 //    *hits* the cached `fuse` artifact (the over-invalidation bugfix),
+//    and every hex digit of a pass's options hash reaches its key,
 //  * cache transparency — a pass-cache hit yields the same artifacts as
 //    the miss path that populated it,
 //  * EFC_VERIFY_IR — a deliberately corrupted IR is caught between
@@ -161,10 +162,12 @@ TEST(PassCache, RbbeBudgetOnlyChangeReusesFusedArtifact) {
 
   runtime::PipelineCache Cache(4);
   std::string Err;
-  auto P1 = Cache.get(maxSpec(), false, &Err);
+  runtime::PipelineSpec Spec = maxSpec();
+  Spec.Rbbe = true; // the serving default leaves RBBE out
+  auto P1 = Cache.get(Spec, false, &Err);
   ASSERT_TRUE(P1) << Err;
 
-  runtime::PipelineSpec Respec = maxSpec();
+  runtime::PipelineSpec Respec = Spec;
   Respec.RbbeBudget = 64; // different spec key → full PipelineCache miss
   auto P2 = Cache.get(Respec, false, &Err);
   ASSERT_TRUE(P2) << Err;
@@ -224,6 +227,53 @@ TEST(PassCache, LookupsAreAccountedPerPass) {
   pipeline::PassCacheStats St = pipeline::PassManager::cacheStats();
   EXPECT_EQ(St.hits("fuse") + St.misses("fuse"), 2u) << St.str();
   EXPECT_GT(St.Entries, 0u) << St.str();
+}
+
+/// A cacheable plan pass whose options hash is a fixed pattern with
+/// RbbeOptions::MaxSolverChecks in its lowest hex digit, so two option
+/// sets can differ in that digit alone.
+class LowNibblePass : public pipeline::Pass {
+public:
+  std::string_view name() const override { return "low_nibble"; }
+  bool transformsIr() const override { return false; }
+  uint64_t optionsHash(const pipeline::PipelineOptions &O) const override {
+    return 0x0123456789abcde0ull | (O.Rbbe.MaxSolverChecks & 0xF);
+  }
+  bool run(pipeline::PassContext &, const pipeline::PipelineOptions &,
+           std::string *, std::string *) const override {
+    return true;
+  }
+  void save(const pipeline::PassContext &,
+            pipeline::PassArtifacts &) const override {}
+  void load(const pipeline::PassArtifacts &,
+            pipeline::PassContext &) const override {}
+};
+
+EFC_REGISTER_PASS(LowNibblePass);
+
+// The key spells out the whole options hash: a key that dropped its last
+// hex digit would let these two option sets share one cached artifact.
+TEST(PassCache, OptionsHashLowDigitChangesKey) {
+  pipeline::PassManager::resetCacheForTests();
+  pipeline::PipelineOptions A, B;
+  A.Rbbe.MaxSolverChecks = 1;
+  B.Rbbe.MaxSolverChecks = 2;
+  const pipeline::Pass *P =
+      pipeline::PassRegistry::instance().lookup("low_nibble");
+  ASSERT_NE(P, nullptr);
+  ASSERT_EQ(P->optionsHash(A) ^ P->optionsHash(B), 0x3u);
+
+  pipeline::PassManager PM({"low_nibble"});
+  for (const pipeline::PipelineOptions *O : {&A, &B}) {
+    pipeline::PassContext PC; // a chain, so the pass cache is consulted
+    PC.Chain =
+        std::make_shared<pipeline::IrChain>(std::make_shared<TermContext>());
+    std::string Err;
+    ASSERT_TRUE(PM.run(PC, *O, &Err)) << Err;
+  }
+  pipeline::PassCacheStats St = pipeline::PassManager::cacheStats();
+  EXPECT_EQ(St.misses("low_nibble"), 2u) << St.str();
+  EXPECT_EQ(St.hits("low_nibble"), 0u) << St.str();
 }
 
 //===----------------------------------------------------------------------===//

@@ -95,16 +95,12 @@ TEST(MetricsConsistency, Fig9CsvAgreesAcrossBackends) {
 
   if (!P.Native)
     GTEST_SKIP() << "no host compiler: native backend unavailable";
-  auto Nat = StreamSession::overNative(*P.Native);
-  ASSERT_TRUE(Nat.has_value());
   StreamDeltas NatD("backend=\"native\"");
-  // overNative already bumped sessions before the snapshot; re-open so
-  // the delta covers a whole session.
-  Nat = StreamSession::overNative(*P.Native);
-  std::string NatOut = pump(*Nat, In);
+  StreamSession Nat = StreamSession::overNative(*P.Native);
+  std::string NatOut = pump(Nat, In);
   EXPECT_EQ(NatD.sessions(), 1u);
   EXPECT_EQ(NatD.in(), In.size());
-  EXPECT_EQ(NatD.out(), Nat->bytesOut());
+  EXPECT_EQ(NatD.out(), Nat.bytesOut());
   EXPECT_EQ(NatOut, VmOut);
 }
 

@@ -215,8 +215,10 @@ TEST_F(ServerTest, MetricsFrameCoversEveryFamily) {
   int Fd = connectTo(Sock);
   ASSERT_GE(Fd, 0);
   Reply R;
-  // Drive one session end to end so the serving families have data.
-  ASSERT_TRUE(roundTrip(Fd, std::string("Om1\nvm\n") + CsvMaxSpec, R));
+  // Drive one session end to end so the serving families have data;
+  // rbbe=1 opts into the pass the serving default leaves out.
+  ASSERT_TRUE(
+      roundTrip(Fd, std::string("Om1\nvm\n") + CsvMaxSpec + "rbbe=1\n", R));
   ASSERT_TRUE(R.Ok) << R.Body;
   ASSERT_TRUE(roundTrip(Fd, "Fm1\na,31,x\n", R));
   ASSERT_TRUE(R.Ok) << R.Body;

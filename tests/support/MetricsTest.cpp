@@ -202,7 +202,11 @@ protected:
   std::string Path;
 
   void SetUp() override {
-    Path = ::testing::TempDir() + "efc_trace_test.jsonl";
+    // One file per test: ctest runs each test in its own process, several
+    // at once, and a shared path mixes their spans into one sink.
+    Path = ::testing::TempDir() + "efc_trace_" +
+           ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+           ".jsonl";
     std::remove(Path.c_str());
     setenv("EFC_TRACE", Path.c_str(), 1);
     trace::reinitFromEnv();

@@ -13,9 +13,12 @@
 //  * whole-machine oracles: the fast path (nibble run scans, spec-pair
 //    alternating spans, wide-domain memo tables) against the bytecode
 //    VM on synthetic machines shaped to hit each accelerator tier.
+//  * the native backend, whose run kernels block-scan with the host's
+//    nibbleScanner(), so a forced level reaches generated code too.
 //
 //===----------------------------------------------------------------------===//
 
+#include "codegen/NativeCompile.h"
 #include "stdlib/Transducers.h"
 #include "stdlib/Values.h"
 #include "vm/FastPath.h"
@@ -300,6 +303,34 @@ protected:
       }
     }
   }
+
+  /// The native unit vs bytecode VM on \p In, whole-shot and chunked,
+  /// under the currently active level.
+  void expectNative(const NativeTransducer &N, const CompiledTransducer &T,
+                    const std::vector<uint64_t> &In, const char *What) {
+    auto Ref = T.run(In);
+    auto Whole = N.run(In);
+    ASSERT_EQ(Ref.has_value(), Whole.has_value()) << What;
+    if (Ref) {
+      EXPECT_EQ(*Ref, *Whole) << What;
+    }
+    for (size_t Chunk : {size_t(1), size_t(5), size_t(16), size_t(33)}) {
+      std::vector<uint64_t> St(N.stateWords()), Got;
+      N.streamInit(St.data());
+      bool Ok = true;
+      for (size_t I = 0; Ok && I < In.size(); I += Chunk) {
+        size_t End = std::min(In.size(), I + Chunk);
+        // Exact-size copy per chunk: reads past the chunk end trip ASan.
+        std::vector<uint64_t> Piece(In.begin() + I, In.begin() + End);
+        Ok = N.streamFeed(St.data(), Piece.data(), Piece.size(), Got);
+      }
+      Ok = Ok && N.streamFinish(St.data(), Got);
+      ASSERT_EQ(Ok, Ref.has_value()) << What << " chunk=" << Chunk;
+      if (Ref) {
+        EXPECT_EQ(Got, *Ref) << What << " chunk=" << Chunk;
+      }
+    }
+  }
 };
 
 TEST_F(SimdOracleTest, CopyLoopEveryLevel) {
@@ -323,6 +354,42 @@ TEST_F(SimdOracleTest, CopyLoopEveryLevel) {
     for (auto &V : Mixed)
       V = Val(Rng); // includes out-of-range elements (bytecode fallback)
     expectOracle(P, *T, Mixed, simd::levelName(L));
+  }
+}
+
+TEST_F(SimdOracleTest, NativeCopyLoopEveryLevel) {
+  LevelGuard G;
+  Bst A = makeCopyLoop();
+  auto T = CompiledTransducer::compile(A);
+  ASSERT_TRUE(T.has_value());
+  std::string Err;
+  // One artifact for every level: the level is read by the host scanner
+  // on each feed, not baked into the unit.
+  auto N = NativeTransducer::compile(A, "simd_sweep_copy", &Err);
+  ASSERT_TRUE(N.has_value()) << Err;
+
+  std::mt19937 Rng(7);
+  std::uniform_int_distribution<uint64_t> Val(0, 300);
+  for (simd::Level L : runnableLevels()) {
+    ASSERT_EQ(simd::setActiveLevelForTesting(L), L);
+    for (size_t Len : BlockLens) {
+      // One run to the end of an exact-size buffer, and the same run
+      // with an escape in the last element.
+      std::vector<uint64_t> Run(Len, uint64_t('a'));
+      expectNative(*N, *T, Run, simd::levelName(L));
+      if (Len) {
+        Run.back() = '\n';
+        expectNative(*N, *T, Run, simd::levelName(L));
+      }
+    }
+    std::vector<uint64_t> Text;
+    for (size_t I = 0; I < 200; ++I)
+      Text.push_back(I % 37 == 0 ? uint64_t('\n') : uint64_t('a' + I % 26));
+    expectNative(*N, *T, Text, simd::levelName(L));
+    std::vector<uint64_t> Mixed(150);
+    for (auto &V : Mixed)
+      V = Val(Rng); // includes out-of-range elements
+    expectNative(*N, *T, Mixed, simd::levelName(L));
   }
 }
 

@@ -56,7 +56,7 @@ int usage(const char *Msg = nullptr) {
           "Q)\n"
           "                 [--agg max|min|avg|none] [--format "
           "decimal|lines|sql]\n"
-          "                 [--backend vm|fastpath|native] [--no-rbbe] "
+          "                 [--backend vm|fastpath|native] [--rbbe] "
           "[--minimize]\n"
           "       efc-serve <endpoint> --feed NAME --file F [--chunk N]\n"
           "       efc-serve <endpoint> --finish NAME\n"
@@ -171,7 +171,7 @@ int main(int argc, char **argv) {
   int TcpPort = -1; // -1: no TCP
   size_t CacheCap = 32, Chunk = 4096;
   uint64_t IdleMs = 0, DrainMs = 5000;
-  bool Stats = false, Metrics = false, Shutdown = false, DoRbbe = true,
+  bool Stats = false, Metrics = false, Shutdown = false, DoRbbe = false,
        DoMinimize = false;
 
   for (int I = 1; I < argc; ++I) {
@@ -274,8 +274,8 @@ int main(int argc, char **argv) {
       if (!env::parseU64(V, N) || N == 0)
         return usage("--chunk needs a positive byte count");
       Chunk = size_t(N);
-    } else if (A == "--no-rbbe") {
-      DoRbbe = false;
+    } else if (A == "--rbbe") {
+      DoRbbe = true;
     } else if (A == "--minimize") {
       DoMinimize = true;
     } else if (A == "--stats") {
