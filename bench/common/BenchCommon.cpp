@@ -90,7 +90,8 @@ BuiltPipeline efc::bench::buildPipeline(const std::string &Name,
   {
     // Codegen may intern terms in the (possibly shared) chain context.
     std::lock_guard<std::mutex> ChainLock(P.Chain->Mu);
-    if (auto N = NativeTransducer::compile(*P.Fused, Tag))
+    if (auto N = NativeTransducer::compile(*P.Fused, Tag, nullptr, nullptr,
+                                           P.CompiledFused))
       P.Native.emplace(std::move(*N));
   }
 

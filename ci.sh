@@ -23,7 +23,11 @@
 #      interleaved-connection test).  Skippable with EFC_SKIP_TSAN=1.
 #   6. efc-serve smoke test: start a server, stream a CSV pipeline at it in
 #      7-byte chunks, and require byte-identical output to one-shot
-#      `efcc --run` on the same file.
+#      `efcc --run` on the same file.  Then stream step 8's 5000-row
+#      corpus, which is larger than one StreamSession block, in one frame
+#      and in 7-byte frames on the fastpath and native backends: each
+#      result must equal `efcc --run`, so splitting a feed into blocks is
+#      gated end to end.
 #   7. Serving-load smoke + latency gate: bench/serve_load drives 1000
 #      concurrent sessions over 50 connections against a 1-shard
 #      in-process server, byte-verifies every reply against the
@@ -130,6 +134,12 @@ trap 'rm -rf "$SCRATCH"' EXIT
 SOCK="$SCRATCH/efc.sock"
 PATTERN='(?:(?:[^,\n]*,){1}(?<v>\d+),[^\n]*\n)*'
 printf 'a,17,x\nb,99,y\nc,40,z\nd,63,w\n' > "$SCRATCH/rows.csv"
+# Deterministic fig9-style CSV corpus (also step 8's), larger than one
+# StreamSession block and big enough to cross buffer-growth boundaries.
+for i in $(seq 0 4999); do
+  printf 'r%d,%d,x%d\n' "$i" $(( (i * 37 + 11) % 100000 )) "$i"
+done > "$SCRATCH/corpus.csv"
+CORPUS_BYTES=$(wc -c < "$SCRATCH/corpus.csv")
 
 "$BUILD/tools/efc-serve" --socket "$SOCK" --shards 2 &
 SERVER=$!
@@ -139,6 +149,23 @@ for _ in $(seq 50); do [ -S "$SOCK" ] && break; sleep 0.1; done
 STREAMED=$("$BUILD/tools/efc-serve" --socket "$SOCK" --run smoke \
   --regex "$PATTERN" --agg max --format decimal \
   --file "$SCRATCH/rows.csv" --chunk 7)
+CORPUS_ONESHOT=$("$BUILD/tools/efcc" --regex "$PATTERN" --agg avg \
+  --format decimal --run "$SCRATCH/corpus.csv")
+for BACKEND in fastpath native; do
+  for CHUNK in "$CORPUS_BYTES" 7; do
+    CORPUS_STREAMED=$("$BUILD/tools/efc-serve" --socket "$SOCK" \
+      --run "corpus-$BACKEND-$CHUNK" --backend "$BACKEND" \
+      --regex "$PATTERN" --agg avg --format decimal \
+      --file "$SCRATCH/corpus.csv" --chunk "$CHUNK")
+    if [ "$CORPUS_STREAMED" != "$CORPUS_ONESHOT" ]; then
+      echo "corpus mismatch ($BACKEND, ${CHUNK}-byte frames):" \
+           "streamed='$CORPUS_STREAMED' one-shot='$CORPUS_ONESHOT'" >&2
+      exit 1
+    fi
+  done
+done
+echo "corpus.csv on fastpath and native, one frame and 7-byte frames" \
+     "== efcc --run: '$CORPUS_ONESHOT'"
 "$BUILD/tools/efc-serve" --socket "$SOCK" --shutdown
 wait "$SERVER"
 
@@ -234,11 +261,7 @@ fi
 mv "$SCRATCH/serve.json" BENCH_serve.json
 
 echo "== [8/12] fast-path divergence gate + throughput smoke =="
-# Deterministic fig9-style CSV corpus, big enough to cross chunk and
-# buffer-growth boundaries.
-for i in $(seq 0 4999); do
-  printf 'r%d,%d,x%d\n' "$i" $(( (i * 37 + 11) % 100000 )) "$i"
-done > "$SCRATCH/corpus.csv"
+# corpus.csv: generated in step 6.
 for AGG in max min avg; do
   VM_OUT=$("$BUILD/tools/efcc" --regex "$PATTERN" --agg "$AGG" \
     --format decimal --backend vm --run "$SCRATCH/corpus.csv")

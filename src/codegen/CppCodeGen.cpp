@@ -10,6 +10,29 @@ using namespace efc;
 
 namespace {
 
+/// C++ spelling of the element types of \p A's streams (vm/Vm.h
+/// ElemWidth): the input pointer's element, the output buffer, and the
+/// cast each emitted value goes through.
+struct StreamTypes {
+  ElemWidth In, Out;
+  std::string InElem, OutBuf, OutElem, OutUnsigned;
+
+  explicit StreamTypes(const Bst &A)
+      : In(elemWidthOf(A.inputType())), Out(elemWidthOf(A.outputType())) {
+    InElem = elemName(In);
+    OutElem = Out == ElemWidth::U8 ? "char" : elemName(Out);
+    OutUnsigned = elemName(Out);
+    OutBuf = Out == ElemWidth::U8 ? "std::string"
+                                  : "std::vector<" + elemName(Out) + ">";
+  }
+
+  static std::string elemName(ElemWidth W) {
+    return W == ElemWidth::U8    ? "uint8_t"
+           : W == ElemWidth::U16 ? "uint16_t"
+                                 : "uint64_t";
+  }
+};
+
 std::string hex(uint64_t V) {
   char Buf[32];
   snprintf(Buf, sizeof(Buf), "0x%llxull", (unsigned long long)V);
@@ -188,7 +211,8 @@ void flattenInit(const Value &V, std::vector<uint64_t> &Out) {
 
 class UnitEmitter {
 public:
-  UnitEmitter(const Bst &A, const CodeGenOptions &Opts) : A(A), Opts(Opts) {
+  UnitEmitter(const Bst &A, const CodeGenOptions &Opts)
+      : A(A), Opts(Opts), Ty(A) {
     TermContext &Ctx = A.context();
     std::vector<TermRef> RegLeaves;
     collectLeaves(Ctx, A.regVar(), RegLeaves);
@@ -285,9 +309,8 @@ public:
 
     // feed: resume at the saved control state; at end of chunk suspend
     // (persist state + registers).  Run kernels block-scan with `scan`.
-    S += "static bool " + N +
-         "_feed(uint64_t *st, const uint64_t *in, size_t n, "
-         "std::vector<uint64_t> &out, efc_scan_fn scan) {\n";
+    S += "static bool " + N + "_feed(uint64_t *st, const " + Ty.InElem +
+         " *in, size_t n, " + Ty.OutBuf + " &out, efc_scan_fn scan) {\n";
     for (unsigned I = 0; I < NumLeaves; ++I)
       S += "  uint64_t r" + std::to_string(I) + " = st[" +
            std::to_string(I + 1) + "];\n";
@@ -314,8 +337,8 @@ public:
 
     // finish: run the finalizer of the saved state.  Registers are not
     // written back — a finished session is over.
-    S += "static bool " + N +
-         "_finish(uint64_t *st, std::vector<uint64_t> &out) {\n";
+    S += "static bool " + N + "_finish(uint64_t *st, " + Ty.OutBuf +
+         " &out) {\n";
     for (unsigned I = 0; I < NumLeaves; ++I)
       S += "  uint64_t r" + std::to_string(I) + " = st[" +
            std::to_string(I + 1) + "]; (void)r" + std::to_string(I) + ";\n";
@@ -334,8 +357,8 @@ public:
 
     // One-shot: a single feed over the whole input on a local state
     // block, block-scanning with the scalar no-op.
-    S += "[[maybe_unused]] static bool " + N +
-         "(const uint64_t *in, size_t n, std::vector<uint64_t> &out) {\n";
+    S += "[[maybe_unused]] static bool " + N + "(const " + Ty.InElem +
+         " *in, size_t n, " + Ty.OutBuf + " &out) {\n";
     S += "  uint64_t st[" + N + "_state_words];\n";
     S += "  " + N + "_init(st);\n";
     S += "  return " + N + "_feed(st, in, n, out, efc_scan_none) && " + N +
@@ -347,6 +370,7 @@ public:
 private:
   const Bst &A;
   const CodeGenOptions &Opts;
+  StreamTypes Ty;
   std::unordered_map<TermRef, std::string> Leaves;
   unsigned NumLeaves = 0;
   std::vector<ByteClassTable> Tables;
@@ -374,14 +398,15 @@ private:
 
   /// Transition body for state Q: table dispatch over the byte classes
   /// when eligible, then the original guard chain.  The chain stays
-  /// reachable on purpose — it handles elements >= 256 and, for input
-  /// widths below 8, bytes outside the valid range, where the table's
-  /// masked precomputation would not match the unmasked comparisons the
-  /// guards perform (the VM fast path makes the same split).
+  /// reachable on purpose — it handles elements >= 256 of a wider stream
+  /// and, for input widths below 8, bytes outside the valid range, where
+  /// the table's masked precomputation would not match the unmasked
+  /// comparisons the guards perform (the VM fast path makes the same
+  /// split).  A byte stream needs no range test before the table.
   std::string deltaCode(unsigned Q) {
     std::string S;
     if (usesTable(Q) || !Kernels[Q].empty()) {
-      S += "  if (x < 0x100ull) {\n";
+      S += Ty.In == ElemWidth::U8 ? "  {\n" : "  if (x < 0x100ull) {\n";
       // Run kernels first: a loop byte consumes its whole span and
       // re-enters the state label, so the switch below only ever sees
       // non-run bytes (mirrors the VM driver's RunId-before-Dispatch
@@ -434,34 +459,42 @@ private:
     if (RK.NT.Valid)
       S += "      i = scan(in, i, n, " + ntName(Q, K) + "_lo, " +
            ntName(Q, K) + "_hi);\n";
+    // Wider streams also end a run at any element >= 256.
+    const bool Bytes = Ty.In == ElemWidth::U8;
     S += "      while (i + 4 <= n) {\n";
     S += "        uint64_t ra = in[i], rb = in[i + 1], rc = in[i + 2], "
          "rd = in[i + 3];\n";
+    std::string Range = Bytes ? "" : "((ra | rb | rc | rd) >> 8) || ";
     if (Esc)
-      S += "        if (((ra | rb | rc | rd) >> 8) || ra == " + E +
-           " || rb == " + E + " || rc == " + E + " || rd == " + E +
-           ") break;\n";
+      S += "        if (" + Range + "ra == " + E + " || rb == " + E +
+           " || rc == " + E + " || rd == " + E + ") break;\n";
     else
-      S += "        if (((ra | rb | rc | rd) >> 8) || !(efc_runbit(" + M +
+      S += "        if (" + Range + "!(efc_runbit(" + M +
            ", ra) & efc_runbit(" + M + ", rb) & efc_runbit(" + M +
            ", rc) & efc_runbit(" + M + ", rd))) break;\n";
     S += "        i += 4;\n      }\n";
-    S += "      while (i < n && in[i] < 0x100ull && " + Member("in[i]") +
+    S += "      while (i < n && " +
+         std::string(Bytes ? "" : "in[i] < 0x100ull && ") + Member("in[i]") +
          ") ++i;\n";
     switch (RK.K) {
     case RunKernel::Kind::Skip:
       break;
     case RunKernel::Kind::Copy:
-      S += "      out.insert(out.end(), in + rs, in + i);\n";
+      // The output is the input element itself, so both streams have
+      // the same width: a byte span is one append.
+      if (Bytes && Ty.Out == ElemWidth::U8)
+        S += "      out.append((const char *)(in + rs), i - rs);\n";
+      else
+        S += "      out.insert(out.end(), in + rs, in + i);\n";
       break;
     case RunKernel::Kind::ConstAppend:
       if (RK.Emits.size() == 1) {
-        S += "      out.insert(out.end(), i - rs, " + hex(RK.Emits[0]) +
-             ");\n";
+        S += "      out.insert(out.end(), i - rs, (" + Ty.OutElem + ")" +
+             hex(RK.Emits[0]) + ");\n";
       } else {
         S += "      for (size_t rj = rs; rj < i; ++rj) {\n";
         for (uint64_t V : RK.Emits)
-          S += "        out.push_back(" + hex(V) + ");\n";
+          S += "        out.push_back((" + Ty.OutElem + ")" + hex(V) + ");\n";
         S += "      }\n";
       }
       break;
@@ -498,7 +531,7 @@ private:
       std::string S;
       for (TermRef O : R->outputs()) {
         std::string Expr = E.emit(O, Body);
-        S += Pad + "out.push_back(" + Expr + ");\n";
+        S += Pad + "out.push_back((" + Ty.OutElem + ")" + Expr + ");\n";
       }
       if (IsFinalizer) {
         std::string Out = Body + S;
@@ -540,9 +573,12 @@ std::string efc::generateCpp(const Bst &A, const CodeGenOptions &Opts,
   assert(A.inputType()->isScalar() && A.outputType()->isScalar() &&
          "codegen requires scalar element types");
   std::string S;
+  StreamTypes Ty(A);
   S += "// Generated by efc (Fusing Effectful Comprehensions, PLDI'17 "
        "reproduction).\n";
-  S += "#include <cstddef>\n#include <cstdint>\n#include <vector>\n\n";
+  S += "#include <cstddef>\n#include <cstdint>\n";
+  S += Ty.Out == ElemWidth::U8 ? "#include <string>\n\n"
+                               : "#include <vector>\n\n";
   S += "static inline int64_t efc_sext(uint64_t v, unsigned w) {\n"
        "  uint64_t sb = 1ull << (w - 1);\n"
        "  return (int64_t)((v & ((sb << 1) - 1)) ^ sb) - (int64_t)sb;\n"
@@ -565,11 +601,15 @@ std::string efc::generateCpp(const Bst &A, const CodeGenOptions &Opts,
   // Run kernels block-scan through a caller-supplied nibble scanner (the
   // host's vm/FastPath nibbleScanner() under NativeTransducer), so the
   // unit carries no ISA-specific code of its own.
-  S += "typedef size_t (*efc_scan_fn)(const uint64_t *, size_t, size_t, "
-       "const unsigned char *, const unsigned char *);\n";
-  S += "static inline size_t efc_scan_none(const uint64_t *, size_t i, "
-       "size_t, const unsigned char *, const unsigned char *) { return i; "
-       "}\n\n";
+  // Stream element types, named for the exported entry points
+  // (codegen/NativeCompile.h).
+  S += "typedef " + Ty.InElem + " efc_elem_in;\n";
+  S += "typedef " + Ty.OutBuf + " efc_out_buf;\n";
+  S += "typedef size_t (*efc_scan_fn)(const " + Ty.InElem +
+       " *, size_t, size_t, const unsigned char *, const unsigned char *);\n";
+  S += "static inline size_t efc_scan_none(const " + Ty.InElem +
+       " *, size_t i, size_t, const unsigned char *, const unsigned char *) "
+       "{ return i; }\n\n";
 
   UnitEmitter U(A, Opts);
   S += U.tables();
@@ -583,10 +623,10 @@ std::string efc::generateCpp(const Bst &A, const CodeGenOptions &Opts,
     unsigned Idx = 0;
     for (const CodeGenTestVector &V : Vectors) {
       std::string In = "in" + std::to_string(Idx);
-      S += "  {\n    const uint64_t " + In + "[] = {0";
+      S += "  {\n    const " + Ty.InElem + " " + In + "[] = {0";
       for (uint64_t X : V.Input)
         S += ", " + hex(X);
-      S += "};\n    std::vector<uint64_t> out;\n";
+      S += "};\n    " + Ty.OutBuf + " out;\n";
       S += "    bool ok = " + Opts.FunctionName + "(" + In + " + 1, " +
            std::to_string(V.Input.size()) + ", out);\n";
       if (!V.Accepts) {
@@ -599,7 +639,8 @@ std::string efc::generateCpp(const Bst &A, const CodeGenOptions &Opts,
         S += "};\n    if (out.size() != " + std::to_string(V.Output.size()) +
              ") return " + std::to_string(Idx + 1) + ";\n";
         S += "    for (size_t k = 0; k < out.size(); ++k)\n"
-             "      if (out[k] != want[k + 1]) return " +
+             "      if ((" + Ty.OutUnsigned +
+             ")out[k] != want[k + 1]) return " +
              std::to_string(Idx + 1) + ";\n";
       }
       S += "  }\n";
@@ -717,7 +758,9 @@ private:
 
 uint64_t efc::classifierHash(const Bst &A) {
   ClassifierHasher CH(A.context());
-  CH.mix(0xefc0de02ull); // fingerprint format version (02: nibble tables)
+  // Fingerprint format version (02: nibble tables; 03: byte-width
+  // element streams, so units of the uint64_t ABI never load).
+  CH.mix(0xefc0de03ull);
   CH.mix(A.numStates());
   CH.mix(A.initialState());
   CH.mix(CH.typeHash(A.inputType()));

@@ -5,10 +5,14 @@
 /// a labeled code block implements its transition rule as a tree of
 /// if/else statements whose leaves emit outputs, update register fields
 /// and jump (goto) to the target state's block.  The generated unit is
-/// self-contained C++17 operating on uint64_t elements.  Each state block
-/// is emitted once, in the streaming entry point; the one-shot function
-/// is a few-line wrapper over it.  The unit holds no ISA-specific code:
-/// run kernels take their nibble block scanner as a parameter.
+/// self-contained C++17 whose streams have the Bst's own element widths
+/// (vm/Vm.h ElemWidth): a byte pipeline reads `const uint8_t *` and
+/// appends to a std::string, a UTF-16 one reads `const uint16_t *` into a
+/// std::vector<uint16_t>, wider types travel as uint64_t; registers are
+/// uint64_t locals.  Each state block is emitted once, in the streaming
+/// entry point; the one-shot function is a few-line wrapper over it.
+/// The unit holds no ISA-specific code: run kernels take their nibble
+/// block scanner as a parameter.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -46,9 +50,10 @@ struct CodeGenTestVector {
 /// Generates a self-contained C++ translation unit implementing ⟦A⟧.
 /// Input and output types must be scalar.  The unit defines:
 ///
+///   efc_elem_in, efc_out_buf    the input element and output buffer types
 ///   <name>_state_words          constant: control state + register leaves
 ///   <name>_init(uint64_t *st)   resets st to the initial configuration
-///   <name>_feed(st, in, n, out, scan)
+///   <name>_feed(st, const efc_elem_in *in, n, efc_out_buf &out, scan)
 ///                               consumes a chunk, suspends at its end
 ///   <name>_finish(st, out)      runs the finalizer of the saved state
 ///   <name>(in, n, out)          one-shot: init, one feed, finish
@@ -57,11 +62,11 @@ struct CodeGenTestVector {
 /// leaf (st[1..]) across calls, so feeding a split input chunk by chunk
 /// is byte-identical to one <name>(in, n, out) call over the whole
 /// input.  feed, finish and the one-shot function return false on
-/// rejection.  `scan` is a vm/FastPath.h NibbleScanFn (typedef
-/// efc_scan_fn): NativeTransducer passes nibbleScanner(), the host's block
-/// loop for its active ISA level; the one-shot wrapper passes a no-op, so
-/// a standalone unit scans with its scalar loops alone.  Span boundaries
-/// do not depend on the scanner.
+/// rejection.  `scan` is a vm/FastPath.h NibbleScanFnOf<efc_elem_in>
+/// (typedef efc_scan_fn): NativeTransducer passes nibbleScanner(), the
+/// host's block loop for its active ISA level; the one-shot wrapper
+/// passes a no-op, so a standalone unit scans with its scalar loops
+/// alone.  Span boundaries do not depend on the scanner.
 std::string generateCpp(const Bst &A, const CodeGenOptions &Opts = {},
                         const std::vector<CodeGenTestVector> &Vectors = {});
 

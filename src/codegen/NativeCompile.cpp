@@ -75,42 +75,7 @@ std::string readFile(const std::string &Path) {
 
 } // namespace
 
-NativeTransducer::~NativeTransducer() {
-  if (Handle)
-    dlclose(Handle);
-}
-
-NativeTransducer::NativeTransducer(NativeTransducer &&O) noexcept
-    : Handle(O.Handle), WordsFn(O.WordsFn), InitFn(O.InitFn),
-      FeedFn(O.FeedFn), FinishFn(O.FinishFn),
-      ClassifierHash(O.ClassifierHash) {
-  O.Handle = nullptr;
-  O.WordsFn = nullptr;
-  O.InitFn = nullptr;
-  O.FeedFn = nullptr;
-  O.FinishFn = nullptr;
-  O.ClassifierHash = 0;
-}
-
-NativeTransducer &NativeTransducer::operator=(NativeTransducer &&O) noexcept {
-  if (this != &O) {
-    if (Handle)
-      dlclose(Handle);
-    Handle = O.Handle;
-    WordsFn = O.WordsFn;
-    InitFn = O.InitFn;
-    FeedFn = O.FeedFn;
-    FinishFn = O.FinishFn;
-    ClassifierHash = O.ClassifierHash;
-    O.Handle = nullptr;
-    O.WordsFn = nullptr;
-    O.InitFn = nullptr;
-    O.FeedFn = nullptr;
-    O.FinishFn = nullptr;
-    O.ClassifierHash = 0;
-  }
-  return *this;
-}
+void NativeTransducer::DlCloser::operator()(void *H) const { dlclose(H); }
 
 std::string NativeTransducer::cacheDir() {
   const char *E = std::getenv("EFC_CACHE_DIR");
@@ -146,7 +111,8 @@ struct NativeMetrics {
 
 std::optional<NativeTransducer>
 NativeTransducer::compile(const Bst &A, const std::string &Tag,
-                          std::string *Error, NativeCompileInfo *Info) {
+                          std::string *Error, NativeCompileInfo *Info,
+                          std::shared_ptr<const CompiledTransducer> Ref) {
   trace::Span NativeSp("native");
   CodeGenOptions Opts;
   Opts.FunctionName = "efc_impl";
@@ -156,17 +122,18 @@ NativeTransducer::compile(const Bst &A, const std::string &Tag,
     Source = generateCpp(A, Opts);
     CgSp.note("bytes", (uint64_t)Source.size());
   }
-  // Exported entry points with stable names.
+  // Exported entry points with stable names, over the unit's own stream
+  // types (efc_elem_in, efc_out_buf: CppCodeGen.h).
   Source +=
       "\nextern \"C\" size_t efc_stream_state_words() { return "
       "efc_impl_state_words; }\n"
       "extern \"C\" void efc_stream_init(uint64_t *st) { efc_impl_init(st); "
       "}\n"
-      "extern \"C\" bool efc_stream_feed(uint64_t *st, const uint64_t *in, "
-      "size_t n, std::vector<uint64_t> &out, efc_scan_fn scan) { return "
+      "extern \"C\" bool efc_stream_feed(uint64_t *st, const efc_elem_in "
+      "*in, size_t n, efc_out_buf &out, efc_scan_fn scan) { return "
       "efc_impl_feed(st, in, n, out, scan); }\n"
-      "extern \"C\" bool efc_stream_finish(uint64_t *st, "
-      "std::vector<uint64_t> &out) { return efc_impl_finish(st, out); }\n"
+      "extern \"C\" bool efc_stream_finish(uint64_t *st, efc_out_buf &out) "
+      "{ return efc_impl_finish(st, out); }\n"
       "extern \"C\" unsigned long long efc_classifier_hash() { return "
       "efc_impl_classifier_hash; }\n";
   // The certification anchor: the .so re-exports the classifier hash baked
@@ -185,32 +152,43 @@ NativeTransducer::compile(const Bst &A, const std::string &Tag,
 
   auto tryLoad = [&](std::string *Err) -> std::optional<NativeTransducer> {
     NativeTransducer T;
-    T.Handle = dlopen(Lib.c_str(), RTLD_NOW | RTLD_LOCAL);
+    T.Handle.reset(dlopen(Lib.c_str(), RTLD_NOW | RTLD_LOCAL));
     if (!T.Handle) {
       if (Err)
         *Err = std::string("dlopen: ") + dlerror();
       return std::nullopt;
     }
+    void *H = T.Handle.get();
     T.WordsFn =
-        reinterpret_cast<WordsFnTy>(dlsym(T.Handle, "efc_stream_state_words"));
-    T.InitFn = reinterpret_cast<InitFnTy>(dlsym(T.Handle, "efc_stream_init"));
-    T.FeedFn = reinterpret_cast<FeedFnTy>(dlsym(T.Handle, "efc_stream_feed"));
-    T.FinishFn =
-        reinterpret_cast<FinishFnTy>(dlsym(T.Handle, "efc_stream_finish"));
-    if (!T.WordsFn || !T.InitFn || !T.FeedFn || !T.FinishFn) {
+        reinterpret_cast<WordsFnTy>(dlsym(H, "efc_stream_state_words"));
+    T.InitFn = reinterpret_cast<InitFnTy>(dlsym(H, "efc_stream_init"));
+    T.FeedSym = dlsym(H, "efc_stream_feed");
+    T.FinishSym = dlsym(H, "efc_stream_finish");
+    if (!T.WordsFn || !T.InitFn || !T.FeedSym || !T.FinishSym) {
       if (Err)
         *Err = "missing efc_stream_* entry point";
       return std::nullopt;
     }
-    if (auto HashFn = reinterpret_cast<HashFnTy>(
-            dlsym(T.Handle, "efc_classifier_hash"))) {
-      T.ClassifierHash = HashFn();
-      if (T.ClassifierHash != WantHash) {
-        if (Err)
-          *Err = "cached artifact classifier hash mismatch (stale .so)";
-        return std::nullopt;
-      }
+    auto HashFn = reinterpret_cast<HashFnTy>(dlsym(H, "efc_classifier_hash"));
+    if (!HashFn) {
+      if (Err)
+        *Err = "missing efc_classifier_hash export";
+      return std::nullopt;
     }
+    T.ClassifierHash = HashFn();
+    if (T.ClassifierHash != WantHash) {
+      if (Err)
+        *Err = "cached artifact classifier hash mismatch (stale .so)";
+      return std::nullopt;
+    }
+    T.InW = elemWidthOf(A.inputType());
+    T.OutW = elemWidthOf(A.outputType());
+    const Type *ITy = A.inputType();
+    T.InMask = Value::maskOf(ITy->isBool() ? 1 : ITy->width());
+    if (!Ref)
+      if (auto Vm = CompiledTransducer::compile(A))
+        Ref = std::make_shared<const CompiledTransducer>(std::move(*Vm));
+    T.Ref = Ref;
     return T;
   };
 
@@ -305,9 +283,15 @@ NativeTransducer::compile(const Bst &A, const std::string &Tag,
 
 std::optional<std::vector<uint64_t>>
 NativeTransducer::run(const uint64_t *In, size_t N) const {
-  std::vector<uint64_t> St(stateWords()), Out;
+  std::span<const uint64_t> Elems(In, N);
+  if (!fitsInputMask(Elems, InMask))
+    return Ref->run(Elems); // does not fit the typed stream: the reference
+  std::vector<uint64_t> St(stateWords());
   streamInit(St.data());
-  if (!streamFeed(St.data(), In, N, Out) || !streamFinish(St.data(), Out))
-    return std::nullopt;
-  return Out;
+  return runNarrowed(
+      InW, OutW, Elems,
+      [&](const auto *X, size_t K, auto &Out) {
+        return streamFeed(St.data(), X, K, Out);
+      },
+      [&](auto &Out) { return streamFinish(St.data(), Out); });
 }

@@ -190,7 +190,8 @@ CompiledPipeline::native(std::string *Err, NativeOutcome *Outcome,
       std::unique_lock<std::mutex> ChainLock;
       if (Chain)
         ChainLock = std::unique_lock(Chain->Mu);
-      Native = NativeTransducer::compile(*Fused, Tag, &NativeErr, &NInfo);
+      Native =
+          NativeTransducer::compile(*Fused, Tag, &NativeErr, &NInfo, Vm);
     }
     if (!Native && NInfo.Transient) {
       long BaseMs =

@@ -2,6 +2,8 @@
 
 #include "runtime/StreamSession.h"
 
+#include <algorithm>
+
 using namespace efc;
 using namespace efc::runtime;
 
@@ -17,12 +19,6 @@ void StreamSession::bindMetrics() {
                         "Input bytes fed into stream sessions", Label);
   MBytesOut = &R.counter("efc_stream_bytes_out_total",
                          "Output bytes drained from stream sessions", Label);
-  if (Kind == Backend::Fast) {
-    MRuns = &R.counter("efc_fastpath_runs_total",
-                       "Bulk spans driven through run kernels");
-    MRunElems = &R.counter("efc_fastpath_run_elements_total",
-                           "Elements consumed by run kernels");
-  }
 }
 
 StreamSession StreamSession::overVm(const CompiledTransducer &T) {
@@ -78,31 +74,41 @@ StreamSession::open(std::shared_ptr<const CompiledPipeline> P, Backend B,
         *Err = "native backend unavailable: " + NErr;
       return std::nullopt;
     }
+    if (N->inputWidth() != ElemWidth::U8 ||
+        N->outputWidth() != ElemWidth::U8) {
+      if (Err)
+        *Err = "native backend needs a byte-to-byte pipeline";
+      return std::nullopt;
+    }
     S = overNative(*N);
   }
   S->Keep = std::move(P);
   return S;
 }
 
-void StreamSession::drain() {
-  // Pipeline boundaries are byte valued (utf8-encode is the last stage),
-  // so each emitted element is one output byte.
-  Output.reserve(Output.size() + Staged.size());
-  for (uint64_t V : Staged)
-    Output.push_back(char(V));
-  BytesOut += Staged.size();
-  if (MBytesOut && !Staged.empty())
-    MBytesOut->inc(Staged.size());
-  Staged.clear();
-  if (MRuns) {
-    // Fold the cursor's local run counters as a delta, so counts survive
-    // sessions that are dropped without finish().
-    const auto &RC = FCur->runCounters();
-    MRuns->inc(RC.Runs - FoldedRuns);
-    MRunElems->inc(RC.RunElements - FoldedRunElems);
-    FoldedRuns = RC.Runs;
-    FoldedRunElems = RC.RunElements;
+void StreamSession::account(size_t Out0) {
+  size_t Produced = Output.size() - Out0;
+  BytesOut += Produced;
+  if (MBytesOut && Produced)
+    MBytesOut->inc(Produced);
+  // Per feed, so counts survive sessions dropped without finish().
+  if (FCur)
+    FCur->foldCounters();
+}
+
+bool StreamSession::feedBlock(const uint8_t *In, size_t N) {
+  switch (Kind) {
+  case Backend::Vm:
+    for (size_t I = 0; I < N; ++I)
+      if (!Cur->feed(In[I], Output))
+        return false;
+    return true;
+  case Backend::Fast:
+    return FCur->feed(In, N, Output);
+  case Backend::Native:
+    return Nat->streamFeed(NatState.data(), In, N, Output);
   }
+  return false;
 }
 
 bool StreamSession::feed(const void *Data, size_t N) {
@@ -111,37 +117,12 @@ bool StreamSession::feed(const void *Data, size_t N) {
   BytesIn += N;
   if (MBytesIn)
     MBytesIn->inc(N);
-  const auto *Bytes = static_cast<const unsigned char *>(Data);
-  if (Kind == Backend::Vm) {
-    if (Staged.capacity() < N)
-      Staged.reserve(N);
-    for (size_t I = 0; I < N; ++I) {
-      if (!Cur->feed(Bytes[I], Staged)) {
-        Rejected = true;
-        drain();
-        return false;
-      }
-    }
-  } else {
-    // Widen into the reused chunk buffer so the fast-path cursor and the
-    // native feed get one contiguous span per feed (both are
-    // chunk-oriented).
-    Chunk.clear();
-    Chunk.reserve(N);
-    for (size_t I = 0; I < N; ++I)
-      Chunk.push_back(Bytes[I]);
-    bool Ok = Kind == Backend::Fast
-                  ? FCur->feed(Chunk, Staged)
-                  : Nat->streamFeed(NatState.data(), Chunk.data(),
-                                    Chunk.size(), Staged);
-    if (!Ok) {
-      Rejected = true;
-      drain();
-      return false;
-    }
-  }
-  drain();
-  return true;
+  const auto *In = static_cast<const uint8_t *>(Data);
+  size_t Out0 = Output.size();
+  for (size_t Off = 0; Off < N && !Rejected; Off += BlockBytes)
+    Rejected = !feedBlock(In + Off, std::min(BlockBytes, N - Off));
+  account(Out0);
+  return !Rejected;
 }
 
 bool StreamSession::finish() {
@@ -150,12 +131,13 @@ bool StreamSession::finish() {
   if (Finished)
     return true;
   Finished = true;
-  bool Ok = Kind == Backend::Vm     ? Cur->finish(Staged)
-            : Kind == Backend::Fast ? FCur->finish(Staged)
+  size_t Out0 = Output.size();
+  bool Ok = Kind == Backend::Vm     ? Cur->finish(Output)
+            : Kind == Backend::Fast ? FCur->finish(Output)
                                     : Nat->streamFinish(NatState.data(),
-                                                        Staged);
+                                                        Output);
   if (!Ok)
     Rejected = true;
-  drain();
+  account(Out0);
   return Ok;
 }

@@ -15,6 +15,12 @@
 /// byte-class fast path (vm/FastPath.h, the default), and the native .so
 /// (its efc_stream_* suspend/resume entry points, codegen/NativeCompile.h).
 ///
+/// Every backend reads the caller's bytes in place, one byte per element,
+/// and appends its output bytes straight to the session's output string:
+/// no element is copied wider on the way in or out.  A feed runs in
+/// blocks of BlockBytes, so what a feed reserves and stages is bounded
+/// by the block, not by the feed's size.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef EFC_RUNTIME_STREAMSESSION_H
@@ -49,10 +55,17 @@ public:
   static StreamSession overVm(const CompiledTransducer &T);
   static StreamSession overFast(const FastPathPlan &P,
                                 const CompiledTransducer &T);
+  /// The unit must read and write bytes (NativeTransducer inputWidth()
+  /// and outputWidth() both ElemWidth::U8): open() refuses any other
+  /// unit, and here a wider one rejects its first feed.
   static StreamSession overNative(const NativeTransducer &T);
 
+  /// Bytes handed to the backend at a time within one feed().
+  static constexpr size_t BlockBytes = size_t(64) << 10;
+
   /// Consumes \p N input bytes.  Returns false once the pipeline has
-  /// rejected the stream (sticky; later calls keep returning false).
+  /// rejected the stream (sticky; later calls keep returning false); the
+  /// output produced before the rejecting byte stays available.
   bool feed(const void *Data, size_t N);
   bool feed(std::string_view Bytes) {
     return feed(Bytes.data(), Bytes.size());
@@ -96,7 +109,11 @@ public:
 private:
   StreamSession() = default;
 
-  void drain(); ///< moves staged elements into Output as bytes
+  /// Runs one block of at most BlockBytes through the backend.
+  bool feedBlock(const uint8_t *In, size_t N);
+  /// Counts the output bytes appended since \p Out0 and folds the fast
+  /// path's run counters into the registry.
+  void account(size_t Out0);
   void bindMetrics(); ///< resolves per-backend registry counters once
 
   Backend Kind = Backend::Vm;
@@ -112,10 +129,6 @@ private:
   const NativeTransducer *Nat = nullptr;
   std::vector<uint64_t> NatState;
 
-  // Fast-path and native backends.
-  std::vector<uint64_t> Chunk; ///< reused element-widening buffer
-
-  std::vector<uint64_t> Staged;
   std::string Output;
   bool Rejected = false;
   bool Finished = false;
@@ -126,9 +139,6 @@ private:
   // append-only registry, so copies/moves of the session stay valid.
   metrics::Counter *MBytesIn = nullptr;
   metrics::Counter *MBytesOut = nullptr;
-  metrics::Counter *MRuns = nullptr;
-  metrics::Counter *MRunElems = nullptr;
-  uint64_t FoldedRuns = 0, FoldedRunElems = 0; ///< already in the registry
 };
 
 } // namespace efc::runtime

@@ -11,6 +11,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <map>
+#include <type_traits>
 #include <unordered_map>
 
 #if defined(__x86_64__)
@@ -264,20 +265,22 @@ std::vector<RunKernel> efc::classifyRunKernels(const Bst &A, unsigned Q,
 }
 
 //===----------------------------------------------------------------------===//
-// SIMD scan kernels.  One function pointer per ISA level, selected once
-// by cpuid (simd::activeLevel); EFC_SIMD forces a lower level.  Every
-// vectorized loop bails out of the vector stride on the first block
-// containing an escape (or an element >= 256) and lets the narrower
-// kernel below it pin down the exact span end, so all levels return
-// identical indices and ASan-exact buffers see no overread beyond the
-// checked stride.
+// SIMD scan kernels.  One function pointer per ISA level and element
+// type, selected once by cpuid (simd::activeLevel); EFC_SIMD forces a
+// lower level.  Every vectorized loop bails out of the vector stride on
+// the first block containing an escape (or, in a 16-bit stream, an
+// element >= 256) and lets the narrower kernel below it pin down the
+// exact span end, so all levels return identical indices and ASan-exact
+// buffers see no overread beyond the checked stride.
 //===----------------------------------------------------------------------===//
 
 namespace {
 
-/// Scalar SWAR: four elements per iteration, one range test on the OR.
-size_t scanMaskScalar(const uint64_t *In, size_t I, size_t N,
-                      const RunKernel &RK) {
+/// Scalar SWAR: four elements per iteration.  Wider streams test the OR
+/// of the four for an element >= 256; in a byte stream the test folds
+/// away.
+template <class T>
+size_t scanMaskScalar(const T *In, size_t I, size_t N, const RunKernel &RK) {
   const std::array<uint64_t, 4> &M = RK.Mask;
   if (RK.SingleEscape >= 0) {
     const uint64_t Esc = uint64_t(RK.SingleEscape);
@@ -288,7 +291,7 @@ size_t scanMaskScalar(const uint64_t *In, size_t I, size_t N,
         break;
       I += 4;
     }
-    while (I < N && In[I] < 256 && In[I] != Esc)
+    while (I < N && uint64_t(In[I]) < 256 && In[I] != Esc)
       ++I;
     return I;
   }
@@ -301,162 +304,25 @@ size_t scanMaskScalar(const uint64_t *In, size_t I, size_t N,
       break;
     I += 4;
   }
-  while (I < N && In[I] < 256 && ((M[In[I] >> 6] >> (In[I] & 63)) & 1))
-    ++I;
-  return I;
-}
-
-#if defined(__x86_64__)
-
-/// SSE2 (x86-64 baseline): 8 elements per iteration for single-escape
-/// masks — range-check via the OR of the high 56 bits, then 64-bit
-/// equality against the escape (both 32-bit lanes must match, hence the
-/// AND with the lane-swapped compare).  Multi-class masks stay on SWAR
-/// (pshufb needs SSSE3).
-size_t scanMaskSse2(const uint64_t *In, size_t I, size_t N,
-                    const RunKernel &RK) {
-  if (RK.SingleEscape >= 0) {
-    const uint64_t Esc = uint64_t(RK.SingleEscape);
-    const __m128i VEsc = _mm_set1_epi64x(int64_t(Esc));
-    const __m128i Zero = _mm_setzero_si128();
-    while (I + 8 <= N) {
-      __m128i V0 = _mm_loadu_si128(reinterpret_cast<const __m128i *>(In + I));
-      __m128i V1 =
-          _mm_loadu_si128(reinterpret_cast<const __m128i *>(In + I + 2));
-      __m128i V2 =
-          _mm_loadu_si128(reinterpret_cast<const __m128i *>(In + I + 4));
-      __m128i V3 =
-          _mm_loadu_si128(reinterpret_cast<const __m128i *>(In + I + 6));
-      __m128i Hi = _mm_srli_epi64(
-          _mm_or_si128(_mm_or_si128(V0, V1), _mm_or_si128(V2, V3)), 8);
-      if (_mm_movemask_epi8(_mm_cmpeq_epi8(Hi, Zero)) != 0xFFFF)
-        break;
-      __m128i E0 = _mm_cmpeq_epi32(V0, VEsc), E1 = _mm_cmpeq_epi32(V1, VEsc);
-      __m128i E2 = _mm_cmpeq_epi32(V2, VEsc), E3 = _mm_cmpeq_epi32(V3, VEsc);
-      __m128i AnyEq = _mm_or_si128(
-          _mm_or_si128(_mm_and_si128(E0, _mm_shuffle_epi32(E0, 0xB1)),
-                       _mm_and_si128(E1, _mm_shuffle_epi32(E1, 0xB1))),
-          _mm_or_si128(_mm_and_si128(E2, _mm_shuffle_epi32(E2, 0xB1)),
-                       _mm_and_si128(E3, _mm_shuffle_epi32(E3, 0xB1))));
-      if (_mm_movemask_epi8(AnyEq))
-        break;
-      I += 8;
-    }
-  }
-  return scanMaskScalar(In, I, N, RK);
-}
-
-/// AVX2: 16 elements per iteration through the two-nibble-table shuffle.
-/// Four 256-bit loads are range-checked, packed u64 -> u8 (real bytes at
-/// even positions, zero padding at odd, lane-interleaved — the order is
-/// irrelevant to the all-bytes-pass test), and classified with one
-/// pshufb pair: byte in set <=> Lo[b & 15] & Hi[b >> 4] != 0.
-__attribute__((target("avx2"))) size_t
-nibbleBlocksAvx2(const uint64_t *In, size_t I, size_t N, const uint8_t *Lo,
-                 const uint8_t *Hi) {
-  const __m256i Lo2 = _mm256_broadcastsi128_si256(
-      _mm_loadu_si128(reinterpret_cast<const __m128i *>(Lo)));
-  const __m256i Hi2 = _mm256_broadcastsi128_si256(
-      _mm_loadu_si128(reinterpret_cast<const __m128i *>(Hi)));
-  const __m256i HiBits = _mm256_set1_epi64x(~0xFFll);
-  const __m256i Nib = _mm256_set1_epi8(0x0F);
-  const __m256i Zero = _mm256_setzero_si256();
-  while (I + 16 <= N) {
-    __m256i V0 = _mm256_loadu_si256(reinterpret_cast<const __m256i *>(In + I));
-    __m256i V1 =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i *>(In + I + 4));
-    __m256i V2 =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i *>(In + I + 8));
-    __m256i V3 =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i *>(In + I + 12));
-    __m256i OrAll =
-        _mm256_or_si256(_mm256_or_si256(V0, V1), _mm256_or_si256(V2, V3));
-    if (!_mm256_testz_si256(OrAll, HiBits))
-      break; // some element >= 256
-    __m256i P01 = _mm256_packus_epi32(V0, V1);
-    __m256i P23 = _mm256_packus_epi32(V2, V3);
-    __m256i B = _mm256_packus_epi16(P01, P23);
-    __m256i Cls = _mm256_and_si256(
-        _mm256_shuffle_epi8(Lo2, _mm256_and_si256(B, Nib)),
-        _mm256_shuffle_epi8(Hi2,
-                            _mm256_and_si256(_mm256_srli_epi16(B, 4), Nib)));
-    unsigned Esc = unsigned(_mm256_movemask_epi8(_mm256_cmpeq_epi8(
-        Cls, Zero))); // bit set <=> byte at that position escapes
-    if (Esc & 0x55555555u) // real bytes sit at even positions
+  for (; I < N; ++I) {
+    uint64_t X = In[I];
+    if (X >= 256 || !((M[X >> 6] >> (X & 63)) & 1))
       break;
-    I += 16;
   }
   return I;
 }
-
-/// AVX-512: 32 elements per iteration, then AVX2 blocks.  vpmovqb packs
-/// each 512-bit load to 8 contiguous bytes (no padding), so one 256-bit
-/// shuffle pair classifies 32 real bytes.
-__attribute__((target("avx512f,avx512bw,avx512vl,avx2"))) size_t
-nibbleBlocksAvx512(const uint64_t *In, size_t I, size_t N, const uint8_t *Lo,
-                   const uint8_t *Hi) {
-  const __m256i Lo2 = _mm256_broadcastsi128_si256(
-      _mm_loadu_si128(reinterpret_cast<const __m128i *>(Lo)));
-  const __m256i Hi2 = _mm256_broadcastsi128_si256(
-      _mm_loadu_si128(reinterpret_cast<const __m128i *>(Hi)));
-  const __m512i HiBits = _mm512_set1_epi64(~0xFFll);
-  const __m256i Nib = _mm256_set1_epi8(0x0F);
-  const __m256i Zero = _mm256_setzero_si256();
-  while (I + 32 <= N) {
-    __m512i V0 = _mm512_loadu_si512(In + I);
-    __m512i V1 = _mm512_loadu_si512(In + I + 8);
-    __m512i V2 = _mm512_loadu_si512(In + I + 16);
-    __m512i V3 = _mm512_loadu_si512(In + I + 24);
-    __m512i OrAll =
-        _mm512_or_si512(_mm512_or_si512(V0, V1), _mm512_or_si512(V2, V3));
-    if (_mm512_test_epi64_mask(OrAll, HiBits))
-      break; // some element >= 256
-    __m128i B0 = _mm512_cvtepi64_epi8(V0);
-    __m128i B1 = _mm512_cvtepi64_epi8(V1);
-    __m128i B2 = _mm512_cvtepi64_epi8(V2);
-    __m128i B3 = _mm512_cvtepi64_epi8(V3);
-    __m256i B = _mm256_set_m128i(_mm_unpacklo_epi64(B2, B3),
-                                 _mm_unpacklo_epi64(B0, B1));
-    __m256i Cls = _mm256_and_si256(
-        _mm256_shuffle_epi8(Lo2, _mm256_and_si256(B, Nib)),
-        _mm256_shuffle_epi8(Hi2,
-                            _mm256_and_si256(_mm256_srli_epi16(B, 4), Nib)));
-    if (_mm256_movemask_epi8(_mm256_cmpeq_epi8(Cls, Zero)))
-      break;
-    I += 32;
-  }
-  return nibbleBlocksAvx2(In, I, N, Lo, Hi);
-}
-
-/// AVX2 and AVX-512 run ends: whole nibble-classified blocks through the
-/// loops nibbleScanner() hands to native code, then SSE2 and SWAR pin
-/// down the span end.
-__attribute__((target("avx2"))) size_t
-scanMaskAvx2(const uint64_t *In, size_t I, size_t N, const RunKernel &RK) {
-  if (RK.NT.Valid)
-    I = nibbleBlocksAvx2(In, I, N, RK.NT.Lo.data(), RK.NT.Hi.data());
-  return scanMaskSse2(In, I, N, RK);
-}
-
-__attribute__((target("avx512f,avx512bw,avx512vl,avx2"))) size_t
-scanMaskAvx512(const uint64_t *In, size_t I, size_t N, const RunKernel &RK) {
-  if (RK.NT.Valid)
-    I = nibbleBlocksAvx512(In, I, N, RK.NT.Lo.data(), RK.NT.Hi.data());
-  return scanMaskSse2(In, I, N, RK);
-}
-
-#endif // __x86_64__
 
 /// Below AVX2 the block scan is a no-op: the scalar tails do the work.
-size_t nibbleBlocksNone(const uint64_t *, size_t I, size_t, const uint8_t *,
+template <class T>
+size_t nibbleBlocksNone(const T *, size_t I, size_t, const uint8_t *,
                         const uint8_t *) {
   return I;
 }
 
 /// Scalar alternation: legs must strictly interleave M1,M2,M1,...
 /// starting on M1 at \p I.
-size_t scanAltScalar(const uint64_t *In, size_t I, size_t N,
-                     const SpecPair &SP) {
+template <class T>
+size_t scanAltScalar(const T *In, size_t I, size_t N, const SpecPair &SP) {
   for (;;) {
     if (I >= N || !SpecPair::maskCovers(SP.M1, In[I]))
       return I;
@@ -469,55 +335,137 @@ size_t scanAltScalar(const uint64_t *In, size_t I, size_t N,
 
 #if defined(__x86_64__)
 
-/// AVX2 alternation: classify one packed block against BOTH states'
-/// nibble tables, then require leg-1 membership at even element indices
-/// and leg-2 at odd.  In the packed (lane-interleaved) byte order the
-/// element parity at byte position p is (p >> 1) & 1, so even elements
-/// sit at positions p % 4 == 0 (mask 0x11111111) and odd elements at
-/// p % 4 == 2 (mask 0x44444444).  The stride (16) is even, so blocks
-/// always start on a leg-1 element and the scalar tail does too.
+/// SSE2 (x86-64 baseline), byte streams: single-escape masks compare 16
+/// bytes per load and return the escape's exact index.  Multi-class masks
+/// stay on SWAR (pshufb needs SSSE3).
+size_t scanMaskSse2(const uint8_t *In, size_t I, size_t N,
+                    const RunKernel &RK) {
+  if (RK.SingleEscape >= 0) {
+    const __m128i VEsc = _mm_set1_epi8(char(RK.SingleEscape));
+    for (; I + 16 <= N; I += 16) {
+      __m128i V = _mm_loadu_si128(reinterpret_cast<const __m128i *>(In + I));
+      if (unsigned Hit = unsigned(_mm_movemask_epi8(_mm_cmpeq_epi8(V, VEsc))))
+        return I + unsigned(__builtin_ctz(Hit));
+    }
+  }
+  return scanMaskScalar(In, I, N, RK);
+}
+
+/// Byte membership of 32 bytes through the two-nibble-table shuffle:
+/// byte b is in the set <=> Lo[b & 15] & Hi[b >> 4] != 0.  Returns a bit
+/// per byte position that escapes.
+__attribute__((target("avx2"))) inline unsigned
+nibbleEscapes(__m256i B, __m256i Lo2, __m256i Hi2) {
+  const __m256i Nib = _mm256_set1_epi8(0x0F);
+  __m256i Cls = _mm256_and_si256(
+      _mm256_shuffle_epi8(Lo2, _mm256_and_si256(B, Nib)),
+      _mm256_shuffle_epi8(Hi2, _mm256_and_si256(_mm256_srli_epi16(B, 4), Nib)));
+  return unsigned(
+      _mm256_movemask_epi8(_mm256_cmpeq_epi8(Cls, _mm256_setzero_si256())));
+}
+
+__attribute__((target("avx2"))) inline __m256i broadcast16(const uint8_t *P) {
+  return _mm256_broadcastsi128_si256(
+      _mm_loadu_si128(reinterpret_cast<const __m128i *>(P)));
+}
+
+/// AVX2: 32 elements per iteration.  A byte stream classifies one load; a
+/// 16-bit stream range-checks two loads and packs them to bytes (lane-
+/// interleaved, which the all-bytes-pass test does not care about).
+template <class T>
 __attribute__((target("avx2"))) size_t
-scanAltAvx2(const uint64_t *In, size_t I, size_t N, const SpecPair &SP) {
-  if (SP.NT1.Valid && SP.NT2.Valid) {
-    const __m256i Lo1 = _mm256_broadcastsi128_si256(
-        _mm_loadu_si128(reinterpret_cast<const __m128i *>(SP.NT1.Lo.data())));
-    const __m256i Hi1 = _mm256_broadcastsi128_si256(
-        _mm_loadu_si128(reinterpret_cast<const __m128i *>(SP.NT1.Hi.data())));
-    const __m256i Lo2 = _mm256_broadcastsi128_si256(
-        _mm_loadu_si128(reinterpret_cast<const __m128i *>(SP.NT2.Lo.data())));
-    const __m256i Hi2 = _mm256_broadcastsi128_si256(
-        _mm_loadu_si128(reinterpret_cast<const __m128i *>(SP.NT2.Hi.data())));
-    const __m256i HiBits = _mm256_set1_epi64x(~0xFFll);
-    const __m256i Nib = _mm256_set1_epi8(0x0F);
-    const __m256i Zero = _mm256_setzero_si256();
-    while (I + 16 <= N) {
+nibbleBlocksAvx2(const T *In, size_t I, size_t N, const uint8_t *Lo,
+                 const uint8_t *Hi) {
+  static_assert(sizeof(T) <= 2, "no vector scan for 64-bit elements");
+  const __m256i Lo2 = broadcast16(Lo), Hi2 = broadcast16(Hi);
+  for (; I + 32 <= N; I += 32) {
+    __m256i B;
+    if constexpr (sizeof(T) == 1) {
+      B = _mm256_loadu_si256(reinterpret_cast<const __m256i *>(In + I));
+    } else {
       __m256i V0 =
           _mm256_loadu_si256(reinterpret_cast<const __m256i *>(In + I));
       __m256i V1 =
-          _mm256_loadu_si256(reinterpret_cast<const __m256i *>(In + I + 4));
-      __m256i V2 =
-          _mm256_loadu_si256(reinterpret_cast<const __m256i *>(In + I + 8));
-      __m256i V3 =
-          _mm256_loadu_si256(reinterpret_cast<const __m256i *>(In + I + 12));
-      __m256i OrAll =
-          _mm256_or_si256(_mm256_or_si256(V0, V1), _mm256_or_si256(V2, V3));
-      if (!_mm256_testz_si256(OrAll, HiBits))
+          _mm256_loadu_si256(reinterpret_cast<const __m256i *>(In + I + 16));
+      if (!_mm256_testz_si256(_mm256_or_si256(V0, V1),
+                              _mm256_set1_epi16(short(0xFF00))))
+        break; // some element >= 256
+      B = _mm256_packus_epi16(V0, V1);
+    }
+    if (nibbleEscapes(B, Lo2, Hi2))
+      break;
+  }
+  return I;
+}
+
+/// AVX-512: 64 elements per iteration, then AVX2 blocks.  A byte stream
+/// classifies one 64-byte load with no range test; a 16-bit stream
+/// range-checks two loads and packs them.
+template <class T>
+__attribute__((target("avx512f,avx512bw,avx512vl,avx2"))) size_t
+nibbleBlocksAvx512(const T *In, size_t I, size_t N, const uint8_t *Lo,
+                   const uint8_t *Hi) {
+  static_assert(sizeof(T) <= 2, "no vector scan for 64-bit elements");
+  // The zero-masking broadcast: GCC's unmasked one reads an undefined
+  // vector and trips -Wuninitialized.
+  const __m512i Lo4 = _mm512_maskz_broadcast_i32x4(
+      __mmask16(0xFFFF),
+      _mm_loadu_si128(reinterpret_cast<const __m128i *>(Lo)));
+  const __m512i Hi4 = _mm512_maskz_broadcast_i32x4(
+      __mmask16(0xFFFF),
+      _mm_loadu_si128(reinterpret_cast<const __m128i *>(Hi)));
+  const __m512i Nib = _mm512_set1_epi8(0x0F);
+  for (; I + 64 <= N; I += 64) {
+    __m512i B;
+    if constexpr (sizeof(T) == 1) {
+      B = _mm512_loadu_si512(In + I);
+    } else {
+      __m512i V0 = _mm512_loadu_si512(In + I);
+      __m512i V1 = _mm512_loadu_si512(In + I + 32);
+      if (_mm512_test_epi16_mask(_mm512_or_si512(V0, V1),
+                                 _mm512_set1_epi16(short(0xFF00))))
+        break; // some element >= 256
+      B = _mm512_packus_epi16(V0, V1);
+    }
+    __m512i Cls = _mm512_and_si512(
+        _mm512_shuffle_epi8(Lo4, _mm512_and_si512(B, Nib)),
+        _mm512_shuffle_epi8(Hi4,
+                            _mm512_and_si512(_mm512_srli_epi16(B, 4), Nib)));
+    if (_mm512_testn_epi8_mask(Cls, Cls))
+      break;
+  }
+  return nibbleBlocksAvx2(In, I, N, Lo, Hi);
+}
+
+/// AVX2 and AVX-512 run ends: whole nibble-classified blocks through the
+/// loops nibbleScanner() hands to native code, then SSE2 (bytes) or SWAR
+/// pins down the span end.
+template <class T, NibbleScanFnOf<T> Blocks>
+size_t scanMaskNibble(const T *In, size_t I, size_t N, const RunKernel &RK) {
+  if (RK.NT.Valid)
+    I = Blocks(In, I, N, RK.NT.Lo.data(), RK.NT.Hi.data());
+  if constexpr (sizeof(T) == 1)
+    return scanMaskSse2(In, I, N, RK);
+  else
+    return scanMaskScalar(In, I, N, RK);
+}
+
+/// AVX2 alternation over a byte stream: classify one 32-byte block
+/// against BOTH states' nibble tables, then require leg-1 membership at
+/// even positions and leg-2 at odd.  The stride is even, so blocks
+/// always start on a leg-1 element and the scalar tail does too.
+__attribute__((target("avx2"))) size_t
+scanAltAvx2(const uint8_t *In, size_t I, size_t N, const SpecPair &SP) {
+  if (SP.NT1.Valid && SP.NT2.Valid) {
+    const __m256i Lo1 = broadcast16(SP.NT1.Lo.data());
+    const __m256i Hi1 = broadcast16(SP.NT1.Hi.data());
+    const __m256i Lo2 = broadcast16(SP.NT2.Lo.data());
+    const __m256i Hi2 = broadcast16(SP.NT2.Hi.data());
+    for (; I + 32 <= N; I += 32) {
+      __m256i B = _mm256_loadu_si256(reinterpret_cast<const __m256i *>(In + I));
+      if ((nibbleEscapes(B, Lo1, Hi1) & 0x55555555u) |
+          (nibbleEscapes(B, Lo2, Hi2) & 0xAAAAAAAAu))
         break;
-      __m256i B = _mm256_packus_epi16(_mm256_packus_epi32(V0, V1),
-                                      _mm256_packus_epi32(V2, V3));
-      __m256i LoIdx = _mm256_and_si256(B, Nib);
-      __m256i HiIdx = _mm256_and_si256(_mm256_srli_epi16(B, 4), Nib);
-      __m256i C1 = _mm256_and_si256(_mm256_shuffle_epi8(Lo1, LoIdx),
-                                    _mm256_shuffle_epi8(Hi1, HiIdx));
-      __m256i C2 = _mm256_and_si256(_mm256_shuffle_epi8(Lo2, LoIdx),
-                                    _mm256_shuffle_epi8(Hi2, HiIdx));
-      unsigned Fail1 =
-          unsigned(_mm256_movemask_epi8(_mm256_cmpeq_epi8(C1, Zero)));
-      unsigned Fail2 =
-          unsigned(_mm256_movemask_epi8(_mm256_cmpeq_epi8(C2, Zero)));
-      if ((Fail1 & 0x11111111u) | (Fail2 & 0x44444444u))
-        break;
-      I += 16;
     }
   }
   return scanAltScalar(In, I, N, SP);
@@ -525,41 +473,77 @@ scanAltAvx2(const uint64_t *In, size_t I, size_t N, const SpecPair &SP) {
 
 #endif // __x86_64__
 
-using ScanFn = size_t (*)(const uint64_t *, size_t, size_t, const RunKernel &);
-using AltFn = size_t (*)(const uint64_t *, size_t, size_t, const SpecPair &);
+template <class T>
+using ScanFn = size_t (*)(const T *, size_t, size_t, const RunKernel &);
+template <class T>
+using AltFn = size_t (*)(const T *, size_t, size_t, const SpecPair &);
+
+/// Per-level kernels of one element type, indexed by simd::Level.
+template <class T> struct Kernels {
+  static constexpr ScanFn<T> Scan[4] = {scanMaskScalar<T>, scanMaskScalar<T>,
+                                        scanMaskScalar<T>, scanMaskScalar<T>};
+  static constexpr AltFn<T> Alt[4] = {scanAltScalar<T>, scanAltScalar<T>,
+                                      scanAltScalar<T>, scanAltScalar<T>};
+  static constexpr NibbleScanFnOf<T> Nibble[4] = {
+      nibbleBlocksNone<T>, nibbleBlocksNone<T>, nibbleBlocksNone<T>,
+      nibbleBlocksNone<T>};
+};
 
 #if defined(__x86_64__)
-constexpr ScanFn ScanKernels[4] = {scanMaskScalar, scanMaskSse2, scanMaskAvx2,
-                                   scanMaskAvx512};
-constexpr AltFn AltKernels[4] = {scanAltScalar, scanAltScalar, scanAltAvx2,
-                                 scanAltAvx2};
-constexpr NibbleScanFn NibbleKernels[4] = {nibbleBlocksNone, nibbleBlocksNone,
-                                           nibbleBlocksAvx2,
-                                           nibbleBlocksAvx512};
-#else
-constexpr ScanFn ScanKernels[4] = {scanMaskScalar, scanMaskScalar,
-                                   scanMaskScalar, scanMaskScalar};
-constexpr AltFn AltKernels[4] = {scanAltScalar, scanAltScalar, scanAltScalar,
-                                 scanAltScalar};
-constexpr NibbleScanFn NibbleKernels[4] = {nibbleBlocksNone, nibbleBlocksNone,
-                                           nibbleBlocksNone, nibbleBlocksNone};
+template <> struct Kernels<uint8_t> {
+  using T = uint8_t;
+  static constexpr ScanFn<T> Scan[4] = {
+      scanMaskScalar<T>, scanMaskSse2,
+      scanMaskNibble<T, nibbleBlocksAvx2<T>>,
+      scanMaskNibble<T, nibbleBlocksAvx512<T>>};
+  static constexpr AltFn<T> Alt[4] = {scanAltScalar<T>, scanAltScalar<T>,
+                                      scanAltAvx2, scanAltAvx2};
+  static constexpr NibbleScanFnOf<T> Nibble[4] = {
+      nibbleBlocksNone<T>, nibbleBlocksNone<T>, nibbleBlocksAvx2<T>,
+      nibbleBlocksAvx512<T>};
+};
+
+template <> struct Kernels<uint16_t> {
+  using T = uint16_t;
+  static constexpr ScanFn<T> Scan[4] = {
+      scanMaskScalar<T>, scanMaskScalar<T>,
+      scanMaskNibble<T, nibbleBlocksAvx2<T>>,
+      scanMaskNibble<T, nibbleBlocksAvx512<T>>};
+  static constexpr AltFn<T> Alt[4] = {scanAltScalar<T>, scanAltScalar<T>,
+                                      scanAltScalar<T>, scanAltScalar<T>};
+  static constexpr NibbleScanFnOf<T> Nibble[4] = {
+      nibbleBlocksNone<T>, nibbleBlocksNone<T>, nibbleBlocksAvx2<T>,
+      nibbleBlocksAvx512<T>};
+};
 #endif
 
 } // namespace
 
-NibbleScanFn efc::nibbleScanner() {
-  return NibbleKernels[int(simd::activeLevel())];
+template <class T> NibbleScanFnOf<T> efc::nibbleScanner() {
+  return Kernels<T>::Nibble[int(simd::activeLevel())];
 }
 
-size_t efc::scanRunEnd(const uint64_t *In, size_t I, size_t N,
-                       const RunKernel &RK) {
-  return ScanKernels[int(simd::activeLevel())](In, I, N, RK);
+template <class T>
+size_t efc::scanRunEnd(const T *In, size_t I, size_t N, const RunKernel &RK) {
+  return Kernels<T>::Scan[int(simd::activeLevel())](In, I, N, RK);
 }
 
-size_t efc::scanAlternating(const uint64_t *In, size_t I, size_t N,
+template <class T>
+size_t efc::scanAlternating(const T *In, size_t I, size_t N,
                             const SpecPair &SP) {
-  return AltKernels[int(simd::activeLevel())](In, I, N, SP);
+  return Kernels<T>::Alt[int(simd::activeLevel())](In, I, N, SP);
 }
+
+#define EFC_SCANNERS(T)                                                        \
+  template NibbleScanFnOf<T> efc::nibbleScanner<T>();                          \
+  template size_t efc::scanRunEnd(const T *, size_t, size_t,                   \
+                                  const RunKernel &);                          \
+  template size_t efc::scanAlternating(const T *, size_t, size_t,              \
+                                       const SpecPair &);
+EFC_SCANNERS(uint8_t)
+EFC_SCANNERS(uint16_t)
+EFC_SCANNERS(uint64_t)
+#undef EFC_SCANNERS
 
 std::string efc::explainFastPath(const Bst &A) {
   std::string S;
@@ -938,11 +922,14 @@ FastPathPlan FastPathPlan::build(const Bst &A, const CompiledTransducer &T,
   }
 
   const Type *ITy = A.inputType();
+  P.InW = elemWidthOf(ITy);
+  P.OutW = elemWidthOf(A.outputType());
   if (!ITy->isScalar()) {
     P.S.FallbackStates = N;
     return P;
   }
   unsigned W = ITy->isBool() ? 1 : ITy->width();
+  P.InMask = Value::maskOf(W);
   TermRef X = A.inputVar();
   TermContext &Ctx = A.context();
 
@@ -1107,12 +1094,34 @@ FastPathPlan FastPathPlan::build(const Bst &A, const CompiledTransducer &T,
   return P;
 }
 
-bool FastPathCursor::feed(std::span<const uint64_t> In,
-                          std::vector<uint64_t> &Out) {
+namespace {
+
+/// Appends the elements [B, E) to \p Out, narrowed to its value type;
+/// a byte run into a std::string is one memcpy.
+template <class OutBuf, class T>
+inline void appendElems(OutBuf &Out, const T *B, const T *E) {
+  if constexpr (sizeof(T) == 1 && std::is_same_v<OutBuf, std::string>)
+    Out.append(reinterpret_cast<const char *>(B), size_t(E - B));
+  else
+    Out.insert(Out.end(), B, E);
+}
+
+/// Appends plan constants (stored 64-bit) to \p Out.
+template <class OutBuf>
+inline void appendConsts(OutBuf &Out, const std::vector<uint64_t> &V) {
+  for (uint64_t X : V)
+    Out.push_back(typename OutBuf::value_type(X));
+}
+
+} // namespace
+
+template <class InT, class OutBuf>
+bool FastPathCursor::feed(const InT *In, size_t N, OutBuf &Out) {
+  using OutT = typename OutBuf::value_type;
   // Bulk emit buffer: one reservation per chunk instead of a capacity
   // check per Emit (stages emit at most about one element per input).
-  if (Out.capacity() - Out.size() < In.size())
-    Out.reserve(Out.size() + In.size() + 16);
+  if (Out.capacity() - Out.size() < N)
+    Out.reserve(Out.size() + N + 16);
 
   const CompiledTransducer &T = *Inner.T;
   uint64_t *Slots = Inner.Slots.data();
@@ -1120,58 +1129,61 @@ bool FastPathCursor::feed(std::span<const uint64_t> In,
   unsigned State = Inner.State;
   const FastPathPlan::StateTable *Tables = Plan->States.data();
 
-  for (size_t I = 0, N = In.size(); I < N; ++I) {
-    uint64_t X = In[I];
+  for (size_t I = 0; I < N; ++I) {
+    const uint64_t X = In[I];
     const FastPathPlan::StateTable &ST = Tables[State];
-    if (ST.HasTable && X >= 256 && ST.Wide.Has && X < ST.Wide.Limit) {
-      // Wide-domain tier: the element is beyond the byte tables but
-      // inside the 2^W domain, so its action was memoized at plan build.
-      const WideTable &WT = ST.Wide;
-      const WideTable::Class &WC = WT.Classes[WT.ClassOf[X]];
-      switch (WC.K) {
-      case WideTable::Class::Kind::Memo: {
-        uint32_t E0 = WT.EmitOff[X];
-        Out.insert(Out.end(), WT.EmitPool.begin() + E0,
-                   WT.EmitPool.begin() + WT.EmitOff[X + 1]);
-        for (uint32_t J = WT.WriteOff[X], JE = WT.WriteOff[X + 1]; J < JE; ++J)
-          Slots[WT.WritePool[J].first] = WT.WritePool[J].second;
-        State = WC.Target;
-        ++RC.WideElements;
-        continue;
-      }
-      case WideTable::Class::Kind::Program:
-        Slots[InSlot] = X;
-        Inner.State = State;
-        if (!Inner.exec(WC.Code, Out))
+    if constexpr (sizeof(InT) == 2) {
+      if (ST.HasTable && X >= 256 && ST.Wide.Has && X < ST.Wide.Limit) {
+        // Wide-domain tier: the element is beyond the byte tables but
+        // inside the 2^W domain, so its action was memoized at plan build.
+        const WideTable &WT = ST.Wide;
+        const WideTable::Class &WC = WT.Classes[WT.ClassOf[X]];
+        switch (WC.K) {
+        case WideTable::Class::Kind::Memo:
+          for (uint32_t J = WT.EmitOff[X], JE = WT.EmitOff[X + 1]; J < JE; ++J)
+            Out.push_back(OutT(WT.EmitPool[J]));
+          for (uint32_t J = WT.WriteOff[X], JE = WT.WriteOff[X + 1]; J < JE;
+               ++J)
+            Slots[WT.WritePool[J].first] = WT.WritePool[J].second;
+          State = WC.Target;
+          ++RC.WideElements;
+          continue;
+        case WideTable::Class::Kind::Program:
+          Slots[InSlot] = X;
+          Inner.State = State;
+          if (!Inner.exec(WC.Code, Out))
+            return false;
+          State = Inner.State;
+          ++RC.WideElements;
+          continue;
+        case WideTable::Class::Kind::Reject:
+          Inner.State = State;
           return false;
-        State = Inner.State;
-        ++RC.WideElements;
-        continue;
-      case WideTable::Class::Kind::Reject:
-        Inner.State = State;
-        return false;
-      case WideTable::Class::Kind::Fallback:
-        break; // defensive: per-element bytecode below
+        case WideTable::Class::Kind::Fallback:
+          break; // defensive: per-element bytecode below
+        }
       }
-    } else if (ST.HasTable && X < 256) {
+    }
+    // A byte stream needs no range test: every element indexes the tables.
+    if (ST.HasTable && (sizeof(InT) == 1 || X < 256)) {
       if (uint8_t R = ST.RunId[X]; R != FastPathPlan::NoRun) {
         // Run kernel: consume the whole span [I, End) in one step.  The
         // kernel self-loops, so State and registers are untouched and a
         // run cut short by the chunk boundary resumes on the next feed.
         const RunKernel &RK = ST.Runs[R];
-        size_t End = scanRunEnd(In.data(), I + 1, N, RK);
+        size_t End = scanRunEnd(In, I + 1, N, RK);
         switch (RK.K) {
         case RunKernel::Kind::Skip:
           break;
         case RunKernel::Kind::Copy:
-          Out.insert(Out.end(), In.data() + I, In.data() + End);
+          appendElems(Out, In + I, In + End);
           break;
         case RunKernel::Kind::ConstAppend:
           if (RK.Emits.size() == 1)
-            Out.insert(Out.end(), End - I, RK.Emits[0]);
+            Out.insert(Out.end(), End - I, OutT(RK.Emits[0]));
           else
             for (size_t J = I; J < End; ++J)
-              Out.insert(Out.end(), RK.Emits.begin(), RK.Emits.end());
+              appendConsts(Out, RK.Emits);
           break;
         }
         for (auto [Slot, V] : RK.Writes)
@@ -1188,15 +1200,15 @@ bool FastPathCursor::feed(std::span<const uint64_t> In,
         // effects; a failed probe (< 4 elements) costs two mask tests
         // and falls through to ordinary dispatch of this element.
         const SpecPair &SP = ST.Specs[Sp];
-        size_t End = scanAlternating(In.data(), I, N, SP);
+        size_t End = scanAlternating(In, I, N, SP);
         size_t K = End - I;
         if (K >= 4) {
           for (size_t J = 0; J + 1 < K; J += 2) {
-            Out.insert(Out.end(), SP.Emits1.begin(), SP.Emits1.end());
-            Out.insert(Out.end(), SP.Emits2.begin(), SP.Emits2.end());
+            appendConsts(Out, SP.Emits1);
+            appendConsts(Out, SP.Emits2);
           }
           if (K & 1) {
-            Out.insert(Out.end(), SP.Emits1.begin(), SP.Emits1.end());
+            appendConsts(Out, SP.Emits1);
             // Sequential write order ends ...W2, W1: the span's last
             // element ran leg 1.
             for (auto [Slot, V] : SP.Writes2)
@@ -1223,7 +1235,7 @@ bool FastPathCursor::feed(std::span<const uint64_t> In,
         State = A.Target;
         continue;
       case FastPathPlan::Action::Kind::Const:
-        Out.insert(Out.end(), A.Emits.begin(), A.Emits.end());
+        appendConsts(Out, A.Emits);
         for (auto [Slot, V] : A.Writes)
           Slots[Slot] = V;
         State = A.Target;
@@ -1253,33 +1265,58 @@ bool FastPathCursor::feed(std::span<const uint64_t> In,
   return true;
 }
 
+#define EFC_CURSOR_FEED(InT, OutT)                                             \
+  template bool FastPathCursor::feed(const InT *, size_t, ElemBuf<OutT> &);
+#define EFC_CURSOR_FEEDS(InT)                                                  \
+  EFC_CURSOR_FEED(InT, uint8_t)                                                \
+  EFC_CURSOR_FEED(InT, uint16_t)                                               \
+  EFC_CURSOR_FEED(InT, uint64_t)
+EFC_CURSOR_FEEDS(uint8_t)
+EFC_CURSOR_FEEDS(uint16_t)
+EFC_CURSOR_FEEDS(uint64_t)
+#undef EFC_CURSOR_FEEDS
+#undef EFC_CURSOR_FEED
+
+void FastPathCursor::foldCounters() {
+  struct Families {
+    metrics::Counter &Runs, &Elems, &Wide, &SpecRuns, &SpecElems;
+  };
+  auto &R = metrics::Registry::instance();
+  static Families F{
+      R.counter("efc_fastpath_runs_total",
+                "Bulk spans driven through run kernels"),
+      R.counter("efc_fastpath_run_elements_total",
+                "Elements consumed by run kernels"),
+      R.counter("efc_fastpath_wide_elements_total",
+                "Elements resolved through wide-domain memo tables"),
+      R.counter("efc_fastpath_spec_runs_total",
+                "Alternating spans taken by two-state speculation"),
+      R.counter("efc_fastpath_spec_elements_total",
+                "Elements consumed by two-state speculation")};
+  // Unchanged counts skip the shared atomic: sessions fold once per
+  // feed, and most feeds move only some of the five.
+  auto add = [](metrics::Counter &C, uint64_t Now, uint64_t Was) {
+    if (Now != Was)
+      C.inc(Now - Was);
+  };
+  add(F.Runs, RC.Runs, Folded.Runs);
+  add(F.Elems, RC.RunElements, Folded.RunElements);
+  add(F.Wide, RC.WideElements, Folded.WideElements);
+  add(F.SpecRuns, RC.SpecRuns, Folded.SpecRuns);
+  add(F.SpecElems, RC.SpecElements, Folded.SpecElements);
+  Folded = RC;
+}
+
 std::optional<std::vector<uint64_t>>
 efc::runFastPath(const FastPathPlan &P, const CompiledTransducer &T,
                  std::span<const uint64_t> In) {
+  if (!fitsInputMask(In, P.inputMask()))
+    return T.run(In); // does not fit the typed stream: the reference
   FastPathCursor C(P, T);
-  std::vector<uint64_t> Out;
-  bool Ok = C.feed(In, Out) && C.finish(Out);
-  // One registry fold per run, not per span: the kernel loop stays free
-  // of shared-state traffic.
-  static metrics::Counter &Runs = metrics::Registry::instance().counter(
-      "efc_fastpath_runs_total", "Bulk spans driven through run kernels");
-  static metrics::Counter &Elems = metrics::Registry::instance().counter(
-      "efc_fastpath_run_elements_total", "Elements consumed by run kernels");
-  static metrics::Counter &Wide = metrics::Registry::instance().counter(
-      "efc_fastpath_wide_elements_total",
-      "Elements resolved through wide-domain memo tables");
-  static metrics::Counter &SpecRuns = metrics::Registry::instance().counter(
-      "efc_fastpath_spec_runs_total",
-      "Alternating spans taken by two-state speculation");
-  static metrics::Counter &SpecElems = metrics::Registry::instance().counter(
-      "efc_fastpath_spec_elements_total",
-      "Elements consumed by two-state speculation");
-  Runs.inc(C.runCounters().Runs);
-  Elems.inc(C.runCounters().RunElements);
-  Wide.inc(C.runCounters().WideElements);
-  SpecRuns.inc(C.runCounters().SpecRuns);
-  SpecElems.inc(C.runCounters().SpecElements);
-  if (!Ok)
-    return std::nullopt;
+  auto Out = runNarrowed(
+      P.inputWidth(), P.outputWidth(), In,
+      [&](const auto *X, size_t N, auto &Buf) { return C.feed(X, N, Buf); },
+      [&](auto &Buf) { return C.finish(Buf); });
+  C.foldCounters();
   return Out;
 }

@@ -39,6 +39,12 @@
 /// objects are moved.  Execution binds (plan, transducer) at use time via
 /// FastPathCursor / runFastPath.
 ///
+/// Element streams keep their real width (vm/Vm.h ElemWidth): the cursor
+/// reads uint8_t, uint16_t or uint64_t input and appends to the matching
+/// ElemBuf, so a byte stream is read and written one byte per element
+/// and its scanners need no range test.  The uint64_t runFastPath entry
+/// point is an adapter over the typed path.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef EFC_VM_FASTPATH_H
@@ -150,28 +156,36 @@ std::vector<RunKernel> classifyRunKernels(const Bst &A, unsigned Q,
                                           const ByteClassTable &C);
 
 /// Returns the first index in [I, N) whose element leaves \p RK's byte
-/// set (value >= 256 or mask miss) — the end of the current run.
-/// Dispatched once per process (cpuid) to the widest available kernel:
-/// scalar SWAR, the SSE2 single-escape specialization, or
-/// nibble-table-classified AVX2/AVX-512 blocks; `EFC_SIMD` (vm/Simd.h)
-/// forces a lower level.
-size_t scanRunEnd(const uint64_t *In, size_t I, size_t N, const RunKernel &RK);
+/// set — the end of the current run.  \p T is the stream's element type
+/// (uint8_t, uint16_t or uint64_t): every byte indexes the mask directly,
+/// and wider elements also end the run at any value >= 256.  Dispatched
+/// once per process (cpuid) to the widest available kernel: scalar SWAR,
+/// the SSE2 single-escape compare (bytes), or nibble-table-classified
+/// AVX2/AVX-512 blocks (bytes and 16-bit elements); `EFC_SIMD`
+/// (vm/Simd.h) forces a lower level.  uint64_t streams scan with SWAR at
+/// every level.
+template <class T>
+size_t scanRunEnd(const T *In, size_t I, size_t N, const RunKernel &RK);
 
-/// A nibble block scanner: advances \p I over whole blocks whose elements
-/// are all < 256 and in the set \p Lo / \p Hi encode (a NibbleTable).  It
-/// stops at a block boundary, not at the span end, so callers finish the
-/// span with a scalar loop and every level yields the same boundaries.
-using NibbleScanFn = size_t (*)(const uint64_t *In, size_t I, size_t N,
-                                const uint8_t *Lo, const uint8_t *Hi);
+/// A nibble block scanner over elements of type \p T: advances \p I over
+/// whole blocks whose elements are all < 256 and in the set \p Lo / \p Hi
+/// encode (a NibbleTable).  It stops at a block boundary, not at the span
+/// end, so callers finish the span with a scalar loop and every level
+/// yields the same boundaries.
+template <class T>
+using NibbleScanFnOf = size_t (*)(const T *In, size_t I, size_t N,
+                                  const uint8_t *Lo, const uint8_t *Hi);
 
-/// The nibble block scanner of the active level: 32-element blocks, then
-/// 16-element ones, at AVX-512; 16-element blocks at AVX2; below AVX2 one
-/// that returns I unchanged.  scanRunEnd runs the same loops, and
-/// generated native code calls the returned function (NativeTransducer
-/// passes it into every efc_stream_feed), so VM and native share one
-/// implementation.  Resolving the level here, once per feed, keeps the
-/// per-span call a direct jump into the loop.
-NibbleScanFn nibbleScanner();
+/// The nibble block scanner of the active level for element type \p T:
+/// at AVX-512, 64-element blocks (one load of bytes, two loads of 16-bit
+/// elements packed to bytes), then 32-element AVX2 ones; at AVX2 the
+/// 32-element blocks alone; below AVX2, and for uint64_t streams at every
+/// level, one that returns I unchanged.  scanRunEnd runs the same loops,
+/// and generated native code calls the returned function
+/// (NativeTransducer passes it into every efc_stream_feed), so VM and
+/// native share one implementation.  Resolving the level here, once per
+/// feed, keeps the per-span call a direct jump into the loop.
+template <class T> NibbleScanFnOf<T> nibbleScanner();
 
 /// Two-state speculative transition pair: in state Q, bytes of M1 all
 /// share one Const/Jump action into state P, and in P bytes of M2 all
@@ -196,10 +210,10 @@ struct SpecPair {
 
 /// Returns the end of the longest alternating span starting at \p I:
 /// elements at even offsets from I must be in SP.M1, odd offsets in
-/// SP.M2 (all < 256).  In[I] is required to be in M1.  SIMD-dispatched
-/// like scanRunEnd.
-size_t scanAlternating(const uint64_t *In, size_t I, size_t N,
-                       const SpecPair &SP);
+/// SP.M2 (all < 256).  In[I] is required to be in M1.  Byte streams
+/// classify 32-byte AVX2 blocks; wider ones scan with the scalar loop.
+template <class T>
+size_t scanAlternating(const T *In, size_t I, size_t N, const SpecPair &SP);
 
 /// Per-element action table for wide scalar inputs (8 < width <= 16,
 /// e.g. the UTF-16 HTML pipelines): the byte tables cover elements
@@ -326,6 +340,12 @@ public:
   };
 
   unsigned numStates() const { return unsigned(States.size()); }
+  /// Element widths of the input and output streams, from the Bst's types.
+  ElemWidth inputWidth() const { return InW; }
+  ElemWidth outputWidth() const { return OutW; }
+  /// Largest value of the input type: runFastPath sends an input holding
+  /// any larger element to the bytecode VM.
+  uint64_t inputMask() const { return InMask; }
   bool stateHasTable(unsigned Q) const {
     return Q < States.size() && States[Q].HasTable;
   }
@@ -348,6 +368,8 @@ private:
 
   std::vector<StateTable> States;
   Stats S;
+  ElemWidth InW = ElemWidth::U64, OutW = ElemWidth::U64;
+  uint64_t InMask = ~uint64_t(0);
 };
 
 /// Streaming executor: the mixed-mode driver loop.  Holds a bytecode
@@ -375,33 +397,44 @@ public:
 
   void reset() {
     Inner.reset();
-    RC = RunCounters();
+    RC = Folded = RunCounters();
   }
 
-  /// Feeds a chunk of elements; outputs are appended to \p Out (bulk
-  /// reserved).  Returns false when the transducer rejects.
-  bool feed(std::span<const uint64_t> In, std::vector<uint64_t> &Out);
-
-  /// Feeds one element.
-  bool feed(uint64_t X, std::vector<uint64_t> &Out) {
-    return feed(std::span<const uint64_t>(&X, 1), Out);
-  }
+  /// Feeds \p N elements of type InT (uint8_t, uint16_t or uint64_t);
+  /// outputs are appended to \p Out, an ElemBuf (vm/Vm.h), narrowed to
+  /// its value type.  Any InT works with any plan: an element outside the
+  /// byte tables runs the state's bytecode, exactly as the VM would.
+  /// Returns false when the transducer rejects.
+  template <class InT, class OutBuf>
+  bool feed(const InT *In, size_t N, OutBuf &Out);
 
   /// Runs the finalizer; returns false on rejection.
-  bool finish(std::vector<uint64_t> &Out) { return Inner.finish(Out); }
+  template <class OutBuf> bool finish(OutBuf &Out) {
+    return Inner.finish(Out);
+  }
 
   unsigned state() const { return Inner.state(); }
 
   const RunCounters &runCounters() const { return RC; }
 
+  /// Adds the counts gathered since the last fold to the registry's
+  /// efc_fastpath_* counters.  Callers fold once per feed or run, never
+  /// per span, so the kernel loop stays free of shared-state traffic.
+  void foldCounters();
+
 private:
   const FastPathPlan *Plan;
   CompiledTransducer::Cursor Inner;
   RunCounters RC;
+  RunCounters Folded; ///< already in the registry
 };
 
 /// Whole-input transduction through the fast path; std::nullopt on
-/// rejection.  Semantically identical to CompiledTransducer::run.
+/// rejection.  Semantically identical to CompiledTransducer::run.  An
+/// adapter for callers holding uint64_t elements: it narrows the input
+/// once to the plan's input width, runs the typed cursor and widens the
+/// result; an input holding an element above P.inputMask() runs on the
+/// bytecode VM (the reference) instead, so the result stays identical.
 std::optional<std::vector<uint64_t>>
 runFastPath(const FastPathPlan &P, const CompiledTransducer &T,
             std::span<const uint64_t> In);

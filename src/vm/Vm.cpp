@@ -465,8 +465,8 @@ void CompiledTransducer::Cursor::reset() {
     Slots[I] = T->InitRegs[I];
 }
 
-bool CompiledTransducer::Cursor::exec(const VmProgram &P,
-                                      std::vector<uint64_t> &Out) {
+template <class OutBuf>
+bool CompiledTransducer::Cursor::exec(const VmProgram &P, OutBuf &Out) {
   const VmInstr *Code = P.Code.data();
   uint64_t *S = Slots.data();
   size_t Pc = 0;
@@ -481,7 +481,7 @@ bool CompiledTransducer::Cursor::exec(const VmProgram &P,
       Pc = size_t(I.Imm);
       break;
     case VmOp::Emit:
-      Out.push_back(S[I.A]);
+      Out.push_back(typename OutBuf::value_type(S[I.A]));
       break;
     case VmOp::Next:
       State = unsigned(I.Imm);
@@ -497,13 +497,18 @@ bool CompiledTransducer::Cursor::exec(const VmProgram &P,
   }
 }
 
-bool CompiledTransducer::Cursor::feed(uint64_t X, std::vector<uint64_t> &Out) {
-  Slots[T->NumRegSlots] = X;
-  return exec(T->Delta[State], Out);
-}
+template bool CompiledTransducer::Cursor::exec(const VmProgram &,
+                                               ElemBuf<uint8_t> &);
+template bool CompiledTransducer::Cursor::exec(const VmProgram &,
+                                               ElemBuf<uint16_t> &);
+template bool CompiledTransducer::Cursor::exec(const VmProgram &,
+                                               ElemBuf<uint64_t> &);
 
-bool CompiledTransducer::Cursor::finish(std::vector<uint64_t> &Out) {
-  return exec(T->Fin[State], Out);
+ElemWidth efc::elemWidthOf(const Type *Ty) {
+  if (!Ty->isScalar())
+    return ElemWidth::U64;
+  unsigned W = Ty->isBool() ? 1 : Ty->width();
+  return W <= 8 ? ElemWidth::U8 : W <= 16 ? ElemWidth::U16 : ElemWidth::U64;
 }
 
 std::optional<std::vector<uint64_t>>

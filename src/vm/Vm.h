@@ -17,13 +17,91 @@
 #include "bst/Bst.h"
 #include "term/ScalarOps.h"
 
+#include <algorithm>
 #include <cstdint>
 #include <optional>
 #include <string>
 #include <span>
+#include <type_traits>
 #include <vector>
 
 namespace efc {
+
+/// Storage width of one stream element.  A scalar of up to 8 bits travels
+/// as uint8_t, one of up to 16 bits as uint16_t and anything wider as
+/// uint64_t; register slots stay 64-bit whatever the stream width.  A
+/// transducer's input and output types pick their widths once, when its
+/// fast-path plan or native unit is built.
+enum class ElemWidth : uint8_t { U8 = 1, U16 = 2, U64 = 8 };
+
+/// The element width of scalar type \p Ty (Bool is one bit wide).
+ElemWidth elemWidthOf(const Type *Ty);
+
+/// Output buffer of each element type: byte streams append to a
+/// std::string (what StreamSession hands out), wider ones to a vector.
+template <class T> struct ElemBufOf {
+  using type = std::vector<T>;
+};
+template <> struct ElemBufOf<uint8_t> {
+  using type = std::string;
+};
+template <class T> using ElemBuf = typename ElemBufOf<T>::type;
+
+/// Widens an ElemBuf back to 64-bit elements (bytes zero-extend).
+template <class OutBuf> std::vector<uint64_t> widenElems(const OutBuf &B) {
+  using U = std::make_unsigned_t<typename OutBuf::value_type>;
+  const U *P = reinterpret_cast<const U *>(B.data());
+  return std::vector<uint64_t>(P, P + B.size());
+}
+
+/// Calls \p Fn with a value of the element type of width \p W, so one
+/// generic lambda covers every width.
+template <class F> decltype(auto) visitElemWidth(ElemWidth W, F &&Fn) {
+  switch (W) {
+  case ElemWidth::U8:
+    return Fn(uint8_t());
+  case ElemWidth::U16:
+    return Fn(uint16_t());
+  default:
+    return Fn(uint64_t());
+  }
+}
+
+/// True when no element of \p In exceeds \p Mask, the largest value of
+/// the input type: only such an input can travel as a typed stream.
+inline bool fitsInputMask(std::span<const uint64_t> In, uint64_t Mask) {
+  for (uint64_t X : In)
+    if (X > Mask)
+      return false;
+  return true;
+}
+
+/// Runs a typed stream from 64-bit elements: narrows \p In to the element
+/// type of \p InW in pieces of \p Chunk elements (each an exact-size
+/// copy), passes each to Feed(const InT *, size_t, ElemBuf<OutT> &) with
+/// the ElemBuf of \p OutW, then calls Finish(ElemBuf<OutT> &) and widens
+/// the output.  std::nullopt when Feed or Finish returns false.  Every
+/// element must fit the input type (fitsInputMask).
+template <class FeedFn, class FinishFn>
+std::optional<std::vector<uint64_t>>
+runNarrowed(ElemWidth InW, ElemWidth OutW, std::span<const uint64_t> In,
+            FeedFn &&Feed, FinishFn &&Finish, size_t Chunk = SIZE_MAX) {
+  return visitElemWidth(InW, [&](auto InV) {
+    return visitElemWidth(OutW, [&](auto OutV) {
+      ElemBuf<decltype(OutV)> Out;
+      std::optional<std::vector<uint64_t>> R;
+      for (size_t I = 0, End; I < In.size(); I = End) {
+        End = I + std::min(Chunk, In.size() - I);
+        std::vector<decltype(InV)> Piece(In.begin() + I, In.begin() + End);
+        if (!Feed(Piece.data(), Piece.size(), Out))
+          return R;
+      }
+      if (Finish(Out))
+        R = widenElems(Out);
+      return R;
+    });
+  });
+}
 
 enum class VmOp : uint8_t {
   Const,   // dst = imm
@@ -193,12 +271,18 @@ public:
 
     void reset();
 
-    /// Feeds one element; outputs are appended to \p Out.  Returns false
-    /// when the transducer rejects.
-    bool feed(uint64_t X, std::vector<uint64_t> &Out);
+    /// Feeds one element; outputs are appended to \p Out, an ElemBuf
+    /// (each output element is narrowed to its value type).  Returns
+    /// false when the transducer rejects.
+    template <class OutBuf> bool feed(uint64_t X, OutBuf &Out) {
+      Slots[T->NumRegSlots] = X;
+      return exec(T->Delta[State], Out);
+    }
 
     /// Runs the finalizer; returns false on rejection.
-    bool finish(std::vector<uint64_t> &Out);
+    template <class OutBuf> bool finish(OutBuf &Out) {
+      return exec(T->Fin[State], Out);
+    }
 
     unsigned state() const { return State; }
 
@@ -208,7 +292,8 @@ public:
     unsigned State = 0;
     std::vector<uint64_t> Slots;
 
-    bool exec(const VmProgram &P, std::vector<uint64_t> &Out);
+    /// Instantiated for the three ElemBuf types.
+    template <class OutBuf> bool exec(const VmProgram &P, OutBuf &Out);
   };
 
   /// Whole-input transduction; std::nullopt on rejection.

@@ -24,6 +24,8 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <sys/stat.h>
+#include <unistd.h>
 
 using namespace efc;
 
@@ -273,6 +275,43 @@ TEST_F(CodeGenTest, NativeBackendAgreesWithOracleOnRandomPipelines) {
       EXPECT_FALSE(D.has_value()) << "trial " << T << ": " << D->str();
     }
   }
+}
+
+TEST_F(CodeGenTest, NativeUnitWithoutClassifierHashIsRefused) {
+  // A unit that does not export efc_classifier_hash cannot be tied to the
+  // IR certification ran on, so the loader refuses it like a unit that
+  // lacks an efc_stream_* entry point.  The "compiler" deletes the export
+  // line from the generated source before compiling it.
+  std::string Dir =
+      ::testing::TempDir() + "/efc_nohash_" + std::to_string(getpid());
+  ASSERT_EQ(std::system(("mkdir -p " + Dir).c_str()), 0);
+  std::string Wrapper = Dir + "/cxx.sh";
+  {
+    std::ofstream F(Wrapper);
+    F << "#!/bin/sh\n"
+         "for a in \"$@\"; do\n"
+         "  case \"$a\" in *.cpp) sed -i '/efc_classifier_hash()/d' \"$a\" ;;"
+         " esac\n"
+         "done\n"
+         "exec c++ \"$@\"\n";
+  }
+  ASSERT_EQ(chmod(Wrapper.c_str(), 0755), 0);
+  ::setenv("EFC_CACHE_DIR", (Dir + "/cache").c_str(), 1);
+  ::setenv("EFC_CXX", Wrapper.c_str(), 1);
+  Bst A = lib::makeToInt(Ctx);
+  std::string Err;
+  auto Stripped = NativeTransducer::compile(A, "nohash", &Err);
+  ::unsetenv("EFC_CXX");
+  EXPECT_FALSE(Stripped.has_value());
+  EXPECT_NE(Err.find("efc_classifier_hash"), std::string::npos) << Err;
+
+  // The refused artifact stays behind in the cache; the host compiler's
+  // build of the same source replaces it and loads.
+  Err.clear();
+  auto Full = NativeTransducer::compile(A, "nohash", &Err);
+  ::unsetenv("EFC_CACHE_DIR");
+  ASSERT_TRUE(Full.has_value()) << Err;
+  EXPECT_EQ(Full->classifierHash(), classifierHash(A));
 }
 
 TEST_F(CodeGenTest, NativeTransducerRejectsLikeInterpreter) {

@@ -298,19 +298,15 @@ Oracle::check(std::span<const Value> Input) const {
                           "fused stage rejected by the VM compiler"};
     // Tiny coprime chunk sizes guarantee feed() boundaries land inside
     // any run-kernel span, so this leg proves runs resume across chunks.
+    // The cursor reads the plan's own element types, like the sessions.
     for (size_t Chunk : {size_t(1), size_t(3), size_t(7)}) {
       FastPathCursor Cur(*FusedFast, *FusedVm);
-      std::vector<uint64_t> Buf;
-      bool Ok = true;
-      for (size_t I = 0; I < Raw.size() && Ok; I += Chunk)
-        Ok = Cur.feed(std::span<const uint64_t>(
-                          Raw.data() + I, std::min(Chunk, Raw.size() - I)),
-                      Buf);
-      if (Ok)
-        Ok = Cur.finish(Buf);
-      std::optional<std::vector<uint64_t>> Got;
-      if (Ok)
-        Got = std::move(Buf);
+      auto Got = runNarrowed(
+          FusedFast->inputWidth(), FusedFast->outputWidth(), Raw,
+          [&](const auto *X, size_t N, auto &Out) {
+            return Cur.feed(X, N, Out);
+          },
+          [&](auto &Out) { return Cur.finish(Out); }, Chunk);
       if (auto D = diverges("fastskip", Got))
         return D;
     }

@@ -126,7 +126,8 @@ TEST(CliToolTest, MetricsDumpOnStderr) {
   for (const char *Family :
        {"# TYPE efc_solver_checks_total counter", "efc_fusion_runs_total",
         "efc_rbbe_runs_total 1", "efc_cache_builds_total 1",
-        "efc_fastpath_runs_total"})
+        "efc_fastpath_runs_total", "efc_fastpath_spec_runs_total",
+        "efc_fastpath_wide_elements_total"})
     EXPECT_NE(Err.find(Family), std::string::npos)
         << "missing from --metrics dump: " << Family << "\n" << Err;
   // --run output stays machine-clean: the dump must not be on stdout.

@@ -13,6 +13,7 @@
 #include "common/FuzzSeed.h"
 #include "data/Datasets.h"
 #include "runtime/StreamSession.h"
+#include "stdlib/Transducers.h"
 
 #include <gtest/gtest.h>
 
@@ -68,6 +69,19 @@ struct Fig9Case {
 // Without this gtest prints the case as a byte dump of its pointers, and
 // gtest_discover_tests copies that dump into the ctest name.
 void PrintTo(const Fig9Case &C, std::ostream *OS) { *OS << C.Name; }
+
+/// Rep+HtmlEncode over UTF-8 bytes: a byte-to-byte pipeline (sessions
+/// serve bytes) with copy and const-append run kernels, and one that
+/// rejects malformed UTF-8.
+BuiltPipeline makeHtmlUtf8Pipeline() {
+  auto Owner = std::make_shared<TermContext>();
+  std::vector<Bst> Stages;
+  Stages.push_back(lib::makeUtf8Decode(*Owner));
+  Stages.push_back(lib::makeRep(*Owner));
+  Stages.push_back(lib::makeHtmlEncode(*Owner));
+  Stages.push_back(lib::makeUtf8Encode(*Owner));
+  return buildPipeline("HTML-utf8", std::move(Stages), *Owner, Owner);
+}
 
 // Small datasets: the VM cursor feeds byte-at-a-time, and the sweep runs
 // every pipeline at seven chunk sizes on two backends.
@@ -229,28 +243,121 @@ TEST(StreamSession, CopyRunsFedOneByteAtATime) {
   // Rep+HtmlEncode drives copy/const-append kernels.  Long safe runs
   // around the escapes, streamed in 1-byte chunks (every feed() boundary
   // lands inside some span) and in 3-byte chunks, must match one-shot on
-  // all backends.
-  BuiltPipeline P = makeHtmlEncodePipeline();
+  // all backends.  The 16-bit pipeline runs on the VM and the fast path;
+  // its native unit reads uint16_t elements, so a session feeding it
+  // bytes must reject, and the native output check runs on the same
+  // stages between UTF-8 decode and encode.
+  BuiltPipeline Wide = makeHtmlEncodePipeline();
+  BuiltPipeline Bytes = makeHtmlUtf8Pipeline();
   std::string In = std::string(2048, 'x') + "<&>\"" + std::string(2048, 'y');
-  auto Want = P.CompiledFused->run(rawOfBytes(In));
-  ASSERT_TRUE(Want.has_value());
-  std::string WantBytes = bytesOf(*Want);
+  for (const BuiltPipeline *P : {&Wide, &Bytes}) {
+    auto Want = P->CompiledFused->run(rawOfBytes(In));
+    ASSERT_TRUE(Want.has_value());
+    std::string WantBytes = bytesOf(*Want);
 
-  for (size_t Chunk : {size_t(1), size_t(3)}) {
-    auto Cuts = fixedCuts(In.size(), Chunk);
-    auto Vm = streamAt(StreamSession::overVm(*P.CompiledFused), In, Cuts);
-    ASSERT_TRUE(Vm.has_value()) << "chunk=" << Chunk;
-    EXPECT_EQ(*Vm, WantBytes) << "vm chunk=" << Chunk;
-    auto Fast = streamAt(
-        StreamSession::overFast(*P.FastPlan, *P.CompiledFused), In, Cuts);
-    ASSERT_TRUE(Fast.has_value()) << "chunk=" << Chunk;
-    EXPECT_EQ(*Fast, WantBytes) << "fastpath chunk=" << Chunk;
-    if (P.Native) {
-      auto N = streamAt(StreamSession::overNative(*P.Native), In, Cuts);
+    for (size_t Chunk : {size_t(1), size_t(3)}) {
+      auto Cuts = fixedCuts(In.size(), Chunk);
+      auto Vm = streamAt(StreamSession::overVm(*P->CompiledFused), In, Cuts);
+      ASSERT_TRUE(Vm.has_value()) << "chunk=" << Chunk;
+      EXPECT_EQ(*Vm, WantBytes) << "vm chunk=" << Chunk;
+      auto Fast = streamAt(
+          StreamSession::overFast(*P->FastPlan, *P->CompiledFused), In, Cuts);
+      ASSERT_TRUE(Fast.has_value()) << "chunk=" << Chunk;
+      EXPECT_EQ(*Fast, WantBytes) << "fastpath chunk=" << Chunk;
+      if (!P->Native)
+        continue;
+      auto N = streamAt(StreamSession::overNative(*P->Native), In, Cuts);
+      if (P == &Wide) {
+        EXPECT_FALSE(N.has_value()) << "a 16-bit unit must refuse bytes";
+        continue;
+      }
       ASSERT_TRUE(N.has_value()) << "chunk=" << Chunk;
       EXPECT_EQ(*N, WantBytes) << "native chunk=" << Chunk;
     }
   }
+}
+
+/// Feeds \p In to \p S in \p Chunk-byte pieces (the whole input when
+/// Chunk is 0) and finishes.  Returns whether the stream was accepted and
+/// every output byte produced, the output before the rejecting byte
+/// included; on rejection, also checks that the session stays rejected.
+std::pair<bool, std::string> feedAll(StreamSession S, const std::string &In,
+                                     size_t Chunk) {
+  std::string Got;
+  bool Ok = true;
+  size_t Step = Chunk ? Chunk : std::max<size_t>(In.size(), 1);
+  for (size_t I = 0; Ok && I < In.size(); I += Step) {
+    Ok = S.feed(std::string_view(In).substr(I, Step));
+    Got += S.takeOutput();
+  }
+  Ok = Ok && S.finish();
+  Got += S.takeOutput();
+  if (!Ok) {
+    EXPECT_TRUE(S.rejected());
+    EXPECT_FALSE(S.feed(std::string_view("a")));
+    EXPECT_FALSE(S.finish());
+    EXPECT_EQ(S.takeOutput(), "");
+  }
+  return {Ok, Got};
+}
+
+TEST(StreamSession, BlockEdgesInsideOneWholeFeed) {
+  // One feed spanning more than two StreamSession blocks, with the block
+  // edges placed inside a 3-byte UTF-8 sequence, inside a run-kernel
+  // span, and right before a rejecting byte.  Fed whole, every backend
+  // must produce what the one-shot VM run and 1- and 7-byte feeds do,
+  // including the output before the rejection and the rejection itself.
+  BuiltPipeline P = makeHtmlUtf8Pipeline();
+  constexpr size_t B = StreamSession::BlockBytes;
+  std::string Good;
+  while (Good.size() < 3 * B + 4096)
+    Good += "plain words <b>&amp; \"quoted\" text\n";
+  Good.replace(B - 1, 3, "\xe2\x9c\x93");             // edge 1 cuts a sequence
+  Good.replace(2 * B - 100, 200, std::string(200, 'a')); // edge 2 cuts a run
+  std::string Bad = Good;
+  Bad[3 * B] = '\xff'; // edge 3 sits before a byte UTF-8 decode rejects
+
+  auto Want = P.CompiledFused->run(rawOfBytes(Good));
+  ASSERT_TRUE(Want.has_value());
+  ASSERT_FALSE(P.CompiledFused->run(rawOfBytes(Bad)).has_value());
+  const std::string WantBytes = bytesOf(*Want);
+  // The output before the rejection, from the VM fed byte by byte.
+  auto [BadOk, WantPartial] =
+      feedAll(StreamSession::overVm(*P.CompiledFused), Bad, 1);
+  ASSERT_FALSE(BadOk);
+  ASSERT_FALSE(WantPartial.empty());
+  EXPECT_EQ(WantBytes.compare(0, WantPartial.size(), WantPartial), 0);
+
+  std::vector<std::pair<const char *, StreamSession (*)(const BuiltPipeline &)>>
+      Backends = {
+          {"vm",
+           [](const BuiltPipeline &P) {
+             return StreamSession::overVm(*P.CompiledFused);
+           }},
+          {"fastpath",
+           [](const BuiltPipeline &P) {
+             return StreamSession::overFast(*P.FastPlan, *P.CompiledFused);
+           }},
+      };
+  if (P.Native)
+    Backends.push_back({"native", [](const BuiltPipeline &P) {
+                          return StreamSession::overNative(*P.Native);
+                        }});
+  for (auto &[Name, Open] : Backends) {
+    for (size_t Chunk : {size_t(0), size_t(1), size_t(7)}) {
+      auto [Ok, Got] = feedAll(Open(P), Good, Chunk);
+      EXPECT_TRUE(Ok) << Name << " chunk=" << Chunk;
+      EXPECT_EQ(Got, WantBytes) << Name << " chunk=" << Chunk;
+      auto [ROk, Partial] = feedAll(Open(P), Bad, Chunk);
+      EXPECT_FALSE(ROk) << Name << " chunk=" << Chunk;
+      EXPECT_EQ(Partial, WantPartial) << Name << " chunk=" << Chunk;
+    }
+  }
+
+  // The run across edge 2 is consumed by the kernels on the fast path.
+  StreamSession S = StreamSession::overFast(*P.FastPlan, *P.CompiledFused);
+  ASSERT_TRUE(S.feed(std::string_view(Good).substr(0, 2 * B + 100)));
+  EXPECT_GE(S.fastRunElements(), 200u);
 }
 
 TEST(StreamSession, EmptyInputMatchesOneShot) {

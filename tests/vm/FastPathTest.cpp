@@ -117,12 +117,13 @@ TEST_F(FastPathTest, RejectActionLeavesStateObservable) {
   FastPathPlan P = FastPathPlan::build(A, *T);
 
   FastPathCursor C(P, *T);
-  std::vector<uint64_t> Out;
-  EXPECT_TRUE(C.feed(uint64_t('x'), Out));
+  std::string Out;
+  const uint8_t In[] = {'x', 'y'};
+  EXPECT_TRUE(C.feed(In, 1, Out));
   unsigned Before = C.state();
-  EXPECT_FALSE(C.feed(uint64_t('y'), Out));
+  EXPECT_FALSE(C.feed(In + 1, 1, Out));
   EXPECT_EQ(C.state(), Before) << "rejection must not advance the state";
-  EXPECT_EQ(Out, std::vector<uint64_t>{uint64_t('x')});
+  EXPECT_EQ(Out, "x");
 }
 
 TEST_F(FastPathTest, OutOfRangeElementsUseBytecode) {
@@ -158,11 +159,12 @@ TEST_F(FastPathTest, ChunkSplitsMatchOneShot) {
 
   for (size_t Cut = 0; Cut <= In.size(); ++Cut) {
     FastPathCursor C(P, *T);
-    std::vector<uint64_t> Out;
-    ASSERT_TRUE(C.feed(std::span<const uint64_t>(In).subspan(0, Cut), Out));
-    ASSERT_TRUE(C.feed(std::span<const uint64_t>(In).subspan(Cut), Out));
+    const std::vector<uint8_t> Bytes(In.begin(), In.end());
+    ElemBuf<uint64_t> Out; // bv32 output
+    ASSERT_TRUE(C.feed(Bytes.data(), Cut, Out));
+    ASSERT_TRUE(C.feed(Bytes.data() + Cut, Bytes.size() - Cut, Out));
     ASSERT_TRUE(C.finish(Out));
-    EXPECT_EQ(Out, *Want) << "cut=" << Cut;
+    EXPECT_EQ(widenElems(Out), *Want) << "cut=" << Cut;
   }
 }
 
@@ -345,11 +347,12 @@ TEST_F(FastPathTest, RunSpansResumeAcrossChunkCuts) {
   ASSERT_TRUE(Want.has_value());
   for (size_t Cut = 0; Cut <= In.size(); ++Cut) {
     FastPathCursor C(P, *T);
-    std::vector<uint64_t> Out;
-    ASSERT_TRUE(C.feed(std::span<const uint64_t>(In).subspan(0, Cut), Out));
-    ASSERT_TRUE(C.feed(std::span<const uint64_t>(In).subspan(Cut), Out));
+    const std::vector<uint8_t> Bytes(In.begin(), In.end());
+    std::string Out;
+    ASSERT_TRUE(C.feed(Bytes.data(), Cut, Out));
+    ASSERT_TRUE(C.feed(Bytes.data() + Cut, Bytes.size() - Cut, Out));
     ASSERT_TRUE(C.finish(Out));
-    EXPECT_EQ(Out, *Want) << "cut=" << Cut;
+    EXPECT_EQ(widenElems(Out), *Want) << "cut=" << Cut;
     EXPECT_EQ(C.runCounters().RunElements, 201u) << "cut=" << Cut;
     EXPECT_GE(C.runCounters().Runs, 2u) << "cut=" << Cut;
   }

@@ -7,9 +7,9 @@
 // differential checks under each:
 //
 //  * scanRunEnd / scanAlternating against their scalar references, on
-//    exact-size heap buffers so AVX2/AVX-512 block reads past N trip
-//    ASan.  Lengths straddle every block width (16/32/64 +- 1) and
-//    escapes sweep every position, including the vector-tail lanes.
+//    exact-size uint8_t and uint16_t heap buffers so AVX2/AVX-512 block
+//    reads past N trip ASan.  Every length from 0 to 193 (three 64-byte
+//    AVX-512 strides plus a tail) with an escape at every position.
 //  * whole-machine oracles: the fast path (nibble run scans, spec-pair
 //    alternating spans, wide-domain memo tables) against the bytecode
 //    VM on synthetic machines shaped to hit each accelerator tier.
@@ -47,15 +47,17 @@ std::vector<simd::Level> runnableLevels() {
   return Ls;
 }
 
-size_t refScanRunEnd(const std::vector<uint64_t> &In, size_t I, size_t N,
+template <class T>
+size_t refScanRunEnd(const std::vector<T> &In, size_t I, size_t N,
                      const RunKernel &RK) {
   while (I < N && RK.covers(In[I]))
     ++I;
   return I;
 }
 
-size_t refScanAlternating(const std::vector<uint64_t> &In, size_t I,
-                          size_t N, const SpecPair &SP) {
+template <class T>
+size_t refScanAlternating(const std::vector<T> &In, size_t I, size_t N,
+                          const SpecPair &SP) {
   size_t J = I;
   while (J < N &&
          SpecPair::maskCovers(((J - I) & 1) ? SP.M2 : SP.M1, In[J]))
@@ -104,6 +106,40 @@ SpecPair makePair(P1 Leg1, P2 Leg2) {
 const size_t BlockLens[] = {0,  1,  7,  8,  15, 16, 17, 31, 32,
                             33, 63, 64, 65, 95, 96, 100};
 
+// Every length up to three AVX-512 strides of bytes plus a tail.
+constexpr size_t MaxSweepLen = 193;
+
+/// Start indices checked for one (length, escape position): the buffer
+/// start, an odd offset, and the positions around the escape.
+std::vector<size_t> startsFor(size_t Len, size_t Pos) {
+  std::vector<size_t> Is;
+  for (size_t I : {size_t(0), size_t(1), size_t(63), Pos, Pos + 1})
+    if (I <= Len)
+      Is.push_back(I);
+  return Is;
+}
+
+/// The sweep of one element type: every length, an escape at every
+/// position, under the active level.
+template <class T>
+void sweepRunEnd(const RunKernel &RK, simd::Level L) {
+  for (size_t Len = 0; Len <= MaxSweepLen; ++Len) {
+    // All members: the scan must stop exactly at N.
+    std::vector<T> In(Len, T('5'));
+    EXPECT_EQ(scanRunEnd(In.data(), 0, Len, RK), Len)
+        << simd::levelName(L) << " len=" << Len << " elem=" << sizeof(T);
+    for (size_t Pos = 0; Pos < Len; ++Pos) {
+      std::vector<T> Esc(Len, T('7'));
+      Esc[Pos] = ',';
+      for (size_t I : startsFor(Len, Pos))
+        EXPECT_EQ(scanRunEnd(Esc.data(), I, Len, RK),
+                  refScanRunEnd(Esc, I, Len, RK))
+            << simd::levelName(L) << " len=" << Len << " pos=" << Pos
+            << " I=" << I << " elem=" << sizeof(T);
+    }
+  }
+}
+
 TEST(SimdSweep, ScanRunEndEveryLevelExactBuffers) {
   LevelGuard G;
   RunKernel Digits =
@@ -113,26 +149,13 @@ TEST(SimdSweep, ScanRunEndEveryLevelExactBuffers) {
     return (B >= '0' && B <= '9') || (B >= 'A' && B <= 'Z') ||
            (B >= 'a' && B <= 'z');
   });
+  RunKernel NotComma = makeKernel([](unsigned B) { return B != ','; });
+  ASSERT_EQ(NotComma.SingleEscape, int(','));
   for (simd::Level L : runnableLevels()) {
     ASSERT_EQ(simd::setActiveLevelForTesting(L), L);
-    for (const RunKernel &RK : {Digits, Alnum}) {
-      for (size_t Len : BlockLens) {
-        // All members: the scan must stop exactly at N.
-        std::vector<uint64_t> In(Len, uint64_t('5'));
-        EXPECT_EQ(scanRunEnd(In.data(), 0, Len, RK), Len)
-            << simd::levelName(L) << " len=" << Len;
-        // Escape at every position, start index sweeping the whole
-        // buffer: block-aligned and tail lanes both see the escape.
-        for (size_t Pos = 0; Pos < Len; ++Pos) {
-          std::vector<uint64_t> Esc(Len, uint64_t('7'));
-          Esc[Pos] = ',';
-          for (size_t I = 0; I <= Len; ++I)
-            EXPECT_EQ(scanRunEnd(Esc.data(), I, Len, RK),
-                      refScanRunEnd(Esc, I, Len, RK))
-                << simd::levelName(L) << " len=" << Len << " pos=" << Pos
-                << " I=" << I;
-        }
-      }
+    for (const RunKernel &RK : {Digits, Alnum, NotComma}) {
+      sweepRunEnd<uint8_t>(RK, L);
+      sweepRunEnd<uint16_t>(RK, L);
     }
   }
 }
@@ -141,21 +164,55 @@ TEST(SimdSweep, ScanRunEndWideElementsEveryLevel) {
   LevelGuard G;
   RunKernel Digits =
       makeKernel([](unsigned B) { return B >= '0' && B <= '9'; });
-  // Low byte aliases an in-set byte: the packed compare must see the
-  // high bits, at every lane of every block width.
-  const uint64_t Alias = uint64_t('5') + 256;
-  const uint64_t High = uint64_t('5') + (1ull << 32);
+  // 16-bit elements whose low byte aliases an in-set byte: the packed
+  // compare must see the high byte, at every lane of every block width.
+  const uint16_t Alias = uint16_t('5' + 256);
+  const uint16_t High = uint16_t('5' + 0xFF00);
   for (simd::Level L : runnableLevels()) {
     ASSERT_EQ(simd::setActiveLevelForTesting(L), L);
-    for (uint64_t Wide : {uint64_t(256), Alias, High, ~uint64_t(0)}) {
-      for (size_t Len : {size_t(16), size_t(33), size_t(65)}) {
+    for (uint16_t Wide : {uint16_t(256), Alias, High, uint16_t(0xFFFF)}) {
+      for (size_t Len : {size_t(16), size_t(33), size_t(65), size_t(129)}) {
         for (size_t Pos = 0; Pos < Len; ++Pos) {
-          std::vector<uint64_t> In(Len, uint64_t('5'));
+          std::vector<uint16_t> In(Len, uint16_t('5'));
           In[Pos] = Wide;
           EXPECT_EQ(scanRunEnd(In.data(), 0, Len, Digits), Pos)
               << simd::levelName(L) << " wide=" << Wide << " len=" << Len
               << " pos=" << Pos;
         }
+      }
+    }
+  }
+}
+
+template <class T> void sweepAlternating(const SpecPair &SP, simd::Level L) {
+  auto alternating = [](size_t Len) {
+    std::vector<T> In(Len);
+    for (size_t I = 0; I < Len; ++I)
+      In[I] = (I & 1) ? T(',') : T('3');
+    return In;
+  };
+  for (size_t Len = 0; Len <= MaxSweepLen; ++Len) {
+    std::vector<T> In = alternating(Len);
+    // Clean alternation from the front consumes the whole buffer.
+    EXPECT_EQ(scanAlternating(In.data(), 0, Len, SP),
+              refScanAlternating(In, 0, Len, SP))
+        << simd::levelName(L) << " len=" << Len << " elem=" << sizeof(T);
+    // Break the parity at every position: with a digit (wrong leg), with
+    // a byte in neither leg, and in a 16-bit stream with an element that
+    // aliases a separator.
+    std::vector<uint64_t> Bads = {uint64_t('x'), 0};
+    if (sizeof(T) > 1)
+      Bads.push_back(uint64_t(',') + 256);
+    for (size_t Pos = 0; Pos < Len; ++Pos) {
+      Bads[1] = uint64_t(In[Pos]) ^ 1;
+      for (uint64_t Bad : Bads) {
+        std::vector<T> Broken = alternating(Len);
+        Broken[Pos] = T(Bad);
+        for (size_t I : {size_t(0), Pos / 2 * 2}) // even starts: leg 1
+          EXPECT_EQ(scanAlternating(Broken.data(), I, Len, SP),
+                    refScanAlternating(Broken, I, Len, SP))
+              << simd::levelName(L) << " len=" << Len << " pos=" << Pos
+              << " bad=" << Bad << " I=" << I << " elem=" << sizeof(T);
       }
     }
   }
@@ -168,35 +225,10 @@ TEST(SimdSweep, ScanAlternatingEveryLevelExactBuffers) {
       [](unsigned B) { return B == ',' || B == ';'; }); // leg 2: seps
   ASSERT_TRUE(SP.NT1.Valid);
   ASSERT_TRUE(SP.NT2.Valid);
-  auto alternating = [](size_t Len) {
-    std::vector<uint64_t> In(Len);
-    for (size_t I = 0; I < Len; ++I)
-      In[I] = (I & 1) ? uint64_t(',') : uint64_t('3');
-    return In;
-  };
   for (simd::Level L : runnableLevels()) {
     ASSERT_EQ(simd::setActiveLevelForTesting(L), L);
-    for (size_t Len : BlockLens) {
-      std::vector<uint64_t> In = alternating(Len);
-      // Clean alternation from the front consumes the whole buffer.
-      EXPECT_EQ(scanAlternating(In.data(), 0, Len, SP),
-                refScanAlternating(In, 0, Len, SP))
-          << simd::levelName(L) << " len=" << Len;
-      // Break the parity at every position: with a digit (wrong leg),
-      // with a byte in neither leg, and with a wide element.
-      for (size_t Pos = 0; Pos < Len; ++Pos) {
-        for (uint64_t Bad :
-             {uint64_t('x'), In[Pos] ^ 1, uint64_t(',') + 256}) {
-          std::vector<uint64_t> Broken = alternating(Len);
-          Broken[Pos] = Bad;
-          for (size_t I : {size_t(0), Pos / 2 * 2}) // even starts: leg 1
-            EXPECT_EQ(scanAlternating(Broken.data(), I, Len, SP),
-                      refScanAlternating(Broken, I, Len, SP))
-                << simd::levelName(L) << " len=" << Len << " pos=" << Pos
-                << " bad=" << Bad << " I=" << I;
-        }
-      }
-    }
+    sweepAlternating<uint8_t>(SP, L);
+    sweepAlternating<uint16_t>(SP, L);
   }
 }
 
@@ -277,7 +309,10 @@ protected:
   }
 
   /// Fast path vs bytecode VM on \p In, whole-shot and chunked, under
-  /// the currently active level.
+  /// the currently active level.  The whole-shot adapter takes any input;
+  /// the chunked legs feed typed pieces (exact-size copies, so reads past
+  /// a piece end trip ASan) and run when every element fits the input
+  /// type.
   void expectOracle(const FastPathPlan &P, const CompiledTransducer &T,
                     const std::vector<uint64_t> &In, const char *What) {
     auto Ref = T.run(In);
@@ -286,26 +321,21 @@ protected:
     if (Ref) {
       EXPECT_EQ(*Ref, *Fast) << What;
     }
+    if (!fitsInputMask(In, P.inputMask()))
+      return;
     for (size_t Chunk : {size_t(1), size_t(5), size_t(16), size_t(33)}) {
       FastPathCursor C(P, T);
-      std::vector<uint64_t> Got;
-      bool Ok = true;
-      for (size_t I = 0; Ok && I < In.size(); I += Chunk) {
-        size_t End = std::min(In.size(), I + Chunk);
-        // Exact-size copy per chunk: reads past the chunk end trip ASan.
-        std::vector<uint64_t> Piece(In.begin() + I, In.begin() + End);
-        Ok = C.feed(Piece, Got);
-      }
-      Ok = Ok && C.finish(Got);
-      ASSERT_EQ(Ok, Ref.has_value()) << What << " chunk=" << Chunk;
-      if (Ref) {
-        EXPECT_EQ(Got, *Ref) << What << " chunk=" << Chunk;
-      }
+      auto Got = runNarrowed(
+          P.inputWidth(), P.outputWidth(), In,
+          [&](const auto *X, size_t N, auto &Out) { return C.feed(X, N, Out); },
+          [&](auto &Out) { return C.finish(Out); }, Chunk);
+      EXPECT_EQ(Got, Ref) << What << " chunk=" << Chunk;
     }
   }
 
   /// The native unit vs bytecode VM on \p In, whole-shot and chunked,
-  /// under the currently active level.
+  /// under the currently active level, with expectOracle's split between
+  /// the whole-shot adapter and the typed chunked legs.
   void expectNative(const NativeTransducer &N, const CompiledTransducer &T,
                     const std::vector<uint64_t> &In, const char *What) {
     auto Ref = T.run(In);
@@ -314,21 +344,18 @@ protected:
     if (Ref) {
       EXPECT_EQ(*Ref, *Whole) << What;
     }
+    if (!fitsInputMask(In, N.inputMask()))
+      return;
     for (size_t Chunk : {size_t(1), size_t(5), size_t(16), size_t(33)}) {
-      std::vector<uint64_t> St(N.stateWords()), Got;
+      std::vector<uint64_t> St(N.stateWords());
       N.streamInit(St.data());
-      bool Ok = true;
-      for (size_t I = 0; Ok && I < In.size(); I += Chunk) {
-        size_t End = std::min(In.size(), I + Chunk);
-        // Exact-size copy per chunk: reads past the chunk end trip ASan.
-        std::vector<uint64_t> Piece(In.begin() + I, In.begin() + End);
-        Ok = N.streamFeed(St.data(), Piece.data(), Piece.size(), Got);
-      }
-      Ok = Ok && N.streamFinish(St.data(), Got);
-      ASSERT_EQ(Ok, Ref.has_value()) << What << " chunk=" << Chunk;
-      if (Ref) {
-        EXPECT_EQ(Got, *Ref) << What << " chunk=" << Chunk;
-      }
+      auto Got = runNarrowed(
+          N.inputWidth(), N.outputWidth(), In,
+          [&](const auto *X, size_t K, auto &Out) {
+            return N.streamFeed(St.data(), X, K, Out);
+          },
+          [&](auto &Out) { return N.streamFinish(St.data(), Out); }, Chunk);
+      EXPECT_EQ(Got, Ref) << What << " chunk=" << Chunk;
     }
   }
 };
@@ -343,17 +370,20 @@ TEST_F(SimdOracleTest, CopyLoopEveryLevel) {
       << "copy loop must get a shufti-encoded kernel";
 
   std::mt19937 Rng(7);
-  std::uniform_int_distribution<uint64_t> Val(0, 300);
+  std::uniform_int_distribution<uint64_t> Val(0, 300), Byte(0, 255);
   for (simd::Level L : runnableLevels()) {
     ASSERT_EQ(simd::setActiveLevelForTesting(L), L);
     std::vector<uint64_t> Text;
     for (size_t I = 0; I < 200; ++I)
       Text.push_back(I % 37 == 0 ? uint64_t('\n') : uint64_t('a' + I % 26));
     expectOracle(P, *T, Text, simd::levelName(L));
-    std::vector<uint64_t> Mixed(150);
+    std::vector<uint64_t> Mixed(150), Bytes(150);
     for (auto &V : Mixed)
       V = Val(Rng); // includes out-of-range elements (bytecode fallback)
     expectOracle(P, *T, Mixed, simd::levelName(L));
+    for (auto &V : Bytes)
+      V = Byte(Rng); // every byte value, escapes included
+    expectOracle(P, *T, Bytes, simd::levelName(L));
   }
 }
 
@@ -369,7 +399,7 @@ TEST_F(SimdOracleTest, NativeCopyLoopEveryLevel) {
   ASSERT_TRUE(N.has_value()) << Err;
 
   std::mt19937 Rng(7);
-  std::uniform_int_distribution<uint64_t> Val(0, 300);
+  std::uniform_int_distribution<uint64_t> Val(0, 300), Byte(0, 255);
   for (simd::Level L : runnableLevels()) {
     ASSERT_EQ(simd::setActiveLevelForTesting(L), L);
     for (size_t Len : BlockLens) {
@@ -386,10 +416,13 @@ TEST_F(SimdOracleTest, NativeCopyLoopEveryLevel) {
     for (size_t I = 0; I < 200; ++I)
       Text.push_back(I % 37 == 0 ? uint64_t('\n') : uint64_t('a' + I % 26));
     expectNative(*N, *T, Text, simd::levelName(L));
-    std::vector<uint64_t> Mixed(150);
+    std::vector<uint64_t> Mixed(150), Bytes(150);
     for (auto &V : Mixed)
-      V = Val(Rng); // includes out-of-range elements
+      V = Val(Rng); // includes out-of-range elements (bytecode fallback)
     expectNative(*N, *T, Mixed, simd::levelName(L));
+    for (auto &V : Bytes)
+      V = Byte(Rng); // every byte value, escapes included
+    expectNative(*N, *T, Bytes, simd::levelName(L));
   }
 }
 
@@ -409,10 +442,10 @@ TEST_F(SimdOracleTest, SpecPairAlternatingEveryLevel) {
       expectOracle(P, *T, In, simd::levelName(L));
     }
     // The accelerated spans must actually engage (not just agree).
-    std::vector<uint64_t> Long(128, uint64_t('q'));
+    std::vector<uint8_t> Long(128, uint8_t('q'));
     FastPathCursor C(P, *T);
-    std::vector<uint64_t> Out;
-    ASSERT_TRUE(C.feed(Long, Out));
+    std::string Out;
+    ASSERT_TRUE(C.feed(Long.data(), Long.size(), Out));
     EXPECT_GT(C.runCounters().SpecElements, 0u) << simd::levelName(L);
   }
 }
@@ -439,8 +472,9 @@ TEST_F(SimdOracleTest, WideTableChunkedFeedsEveryLevel) {
     expectOracle(P, *T, In, simd::levelName(L));
   }
   FastPathCursor C(P, *T);
-  std::vector<uint64_t> Out;
-  ASSERT_TRUE(C.feed(In, Out));
+  const std::vector<uint16_t> Chars(In.begin(), In.end());
+  std::vector<uint16_t> Out;
+  ASSERT_TRUE(C.feed(Chars.data(), Chars.size(), Out));
   EXPECT_GT(C.runCounters().WideElements, 0u)
       << "wide elements must route through the memo pools";
 }

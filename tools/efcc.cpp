@@ -64,6 +64,7 @@
 
 #include "codegen/CppCodeGen.h"
 #include "runtime/PipelineCache.h"
+#include "runtime/StreamSession.h"
 #include "support/EnvParse.h"
 #include "support/Metrics.h"
 #include "verify/EquivChecker.h"
@@ -335,12 +336,10 @@ int main(int argc, char **argv) {
     std::ostringstream Buf;
     Buf << F.rdbuf();
     std::string Data = Buf.str();
-    std::vector<uint64_t> In;
-    In.reserve(Data.size());
-    for (unsigned char C : Data)
-      In.push_back(C);
 
-    std::optional<std::vector<uint64_t>> Out;
+    // The file's bytes go through a session as they are, one byte per
+    // element, on the chosen backend.
+    std::optional<StreamSession> S;
     if (Native) {
       CompiledPipeline::NativeOutcome Outcome;
       NativeCompileInfo Info;
@@ -358,7 +357,11 @@ int main(int argc, char **argv) {
           fprintf(stderr, "efcc: native: compiled in %.0f ms (%s)\n",
                   Info.CompileMs, Info.SoPath.c_str());
       }
-      Out = N->run(In);
+      S = StreamSession::open(P, StreamSession::Backend::Native, &Err);
+      if (!S) {
+        fprintf(stderr, "efcc: %s\n", Err.c_str());
+        return 1;
+      }
     } else if (Backend == "fastpath" && P->Fast) {
       if (Stats) {
         const FastPathPlan::Stats &FS = P->Fast->stats();
@@ -381,18 +384,15 @@ int main(int argc, char **argv) {
                 FS.SpecPairs, FS.WideStates,
                 (unsigned long long)FS.WideMemoElements);
       }
-      Out = runFastPath(*P->Fast, *P->Vm, In);
+      S = StreamSession::overFast(*P->Fast, *P->Vm);
     } else {
-      Out = P->Vm->run(In);
+      S = StreamSession::overVm(*P->Vm);
     }
-    if (!Out) {
+    if (!S->feed(Data) || !S->finish()) {
       fprintf(stderr, "efcc: input rejected by the pipeline\n");
       return 1;
     }
-    std::string Bytes;
-    for (uint64_t B : *Out)
-      Bytes.push_back(char(B));
-    fwrite(Bytes.data(), 1, Bytes.size(), stdout);
+    fwrite(S->output().data(), 1, S->output().size(), stdout);
   }
   if (Metrics) {
     // stderr, like --stats: --run output on stdout stays machine-clean.
