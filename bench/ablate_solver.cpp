@@ -1,7 +1,8 @@
 //===- bench/ablate_solver.cpp - Solver design-choice ablations -----------===//
 //
 // Ablates the decision-procedure optimizations DESIGN.md calls out:
-//   * interval presolve on/off
+//   * interval presolve on/off (with it the implied-guard answers that
+//     fusion's refutes() gives without a check)
 //   * concrete-evaluation witness guessing on/off
 //   * checkWith result caching on/off
 //
@@ -48,12 +49,12 @@ void runConfig(const Config &C) {
   double Secs = W.seconds();
 
   const Solver::Stats &St = S.stats();
-  printf("%-28s %7.2fs  checks=%-6llu fastU=%-5llu fastS=%-5llu "
-         "guess=%-5llu cache=%-5llu cdcl=%-5llu budget=%llu\n",
-         C.Name, Secs, (unsigned long long)St.Checks,
-         (unsigned long long)St.FastUnsat, (unsigned long long)St.FastSat,
-         (unsigned long long)St.GuessSat, (unsigned long long)St.CacheHits,
-         (unsigned long long)St.SatCalls,
+  printf("%-28s %7.2fs  implied=%-5llu checks=%-6llu fastU=%-5llu "
+         "fastS=%-5llu guess=%-5llu cache=%-5llu cdcl=%-5llu budget=%llu\n",
+         C.Name, Secs, (unsigned long long)St.Implied,
+         (unsigned long long)St.Checks, (unsigned long long)St.FastUnsat,
+         (unsigned long long)St.FastSat, (unsigned long long)St.GuessSat,
+         (unsigned long long)St.CacheHits, (unsigned long long)St.SatCalls,
          (unsigned long long)St.BudgetExceeded);
   // Sanity: optimized configurations must produce the same structures.
   printf("%-28s          states=%u+%u branches=%u+%u\n", "",

@@ -8,8 +8,6 @@
 #include "support/Trace.h"
 #include "term/Rewrite.h"
 
-#include <cstdlib>
-#include <cstdio>
 #include <deque>
 #include <map>
 
@@ -39,15 +37,10 @@ public:
   }
 
   Bst run() {
-    const bool Debug = std::getenv("EFC_FUSE_DEBUG") != nullptr;
     while (!Frontier.empty()) {
       auto [P, Q] = Frontier.front();
       Frontier.pop_front();
       unsigned Id = StateIds.at({P, Q});
-      if (Debug)
-        fprintf(stderr, "[fuse] state %u (%s) frontier=%zu checks=%llu\n",
-                Id, Fused.stateName(Id).c_str(), Frontier.size(),
-                (unsigned long long)S.stats().Checks);
       Fused.setDelta(Id, fuseDelta(A.delta(P).get(), Q));
       Fused.setFinalizer(Id, fuseFin(A.finalizer(P).get(), Q, Id));
     }
@@ -73,13 +66,13 @@ private:
     return A.stateName(P) + "." + B.stateName(Q);
   }
 
-  /// True when the current solver context conjoined with \p Phi may be
-  /// satisfiable (Unknown counts as satisfiable — conservative).
+  /// True unless the solver refutes \p Phi under the current context
+  /// (an unproven guard keeps its branch — conservative).
   bool maySat(TermRef Phi) {
     if (!Opts.SolverPruning)
       return !Phi->isFalse();
     ++Stats.SolverChecks;
-    return S.checkWith(Phi) != SatResult::Unsat;
+    return !S.refutes(Phi);
   }
 
   /// Builds a term expressing ⟦R1⟧(x, r) != ⟦R2⟧(x, r) (cf. FUSE line 7:
@@ -112,14 +105,13 @@ private:
       ++Stats.ItesCollapsed;
       return R1;
     }
-    ++MergeCalls;
     if (Opts.SolverPruning) {
       unsigned L1 = R1->countBaseLeaves() + 1;
       unsigned L2 = R2->countBaseLeaves() + 1;
       if (L1 * L2 <= 16) {
         TermRef Neq = ruleNeq(R1.get(), R2.get());
         ++Stats.SolverChecks;
-        if (S.checkWith(Neq) == SatResult::Unsat) {
+        if (S.refutes(Neq)) {
           ++Stats.ItesCollapsed;
           return R1;
         }
@@ -179,16 +171,9 @@ private:
     return stepB(Vs, From, B.delta(Q).get(), Sr);
   }
 
-  uint64_t StepCalls = 0;
-  uint64_t MergeCalls = 0;
-
   /// STEP of Figure 7.
   RulePtr stepB(const std::vector<TermRef> &Vs, size_t From, const Rule *R,
                 TermRef Sr) {
-    if ((++StepCalls & 0xFFFFF) == 0 && std::getenv("EFC_FUSE_DEBUG"))
-      fprintf(stderr, "[fuse] stepB calls=%llu merges=%llu terms=%zu\n",
-              (unsigned long long)StepCalls,
-              (unsigned long long)MergeCalls, Ctx.numTerms());
     Subst Theta;
     Theta.set(B.inputVar(), Vs[From]);
     Theta.set(B.regVar(), Sr);
@@ -386,7 +371,7 @@ Bst efc::fuse(const Bst &A, const Bst &B, Solver &S,
   trace::Span Sp("fuse");
   FusionStats Local;
   FusionStats &St = Stats ? *Stats : Local;
-  uint64_t ChecksBefore = S.stats().Checks;
+  uint64_t ImpliedBefore = S.stats().Implied;
   int64_t SavedBudget = S.conflictBudget();
   S.setConflictBudget(Opts.SolverBudget);
   Fuser F(A, B, S, Opts, St);
@@ -395,7 +380,7 @@ Bst efc::fuse(const Bst &A, const Bst &B, Solver &S,
   if (Opts.DeadEndElimination)
     Result = eliminateDeadEnds(Result);
   St.ProductStates = Result.numStates();
-  St.SolverChecks = S.stats().Checks - ChecksBefore;
+  St.Implied = S.stats().Implied - ImpliedBefore;
   St.Seconds = Timer.seconds();
 
   namespace mx = metrics;
@@ -419,6 +404,7 @@ Bst efc::fuse(const Bst &A, const Bst &B, Solver &S,
   Sp.note("states", (uint64_t)St.ProductStates);
   Sp.note("branches_pruned", (uint64_t)St.BranchesPruned);
   Sp.note("solver_checks", (uint64_t)St.SolverChecks);
+  Sp.note("implied", (uint64_t)St.Implied);
   return Result;
 }
 
@@ -439,6 +425,7 @@ Bst efc::fuseChain(const std::vector<const Bst *> &Stages, Solver &S,
     Acc.BranchesPruned += Step.BranchesPruned;
     Acc.ItesCollapsed += Step.ItesCollapsed;
     Acc.SolverChecks += Step.SolverChecks;
+    Acc.Implied += Step.Implied;
     Acc.Seconds += Step.Seconds;
   }
   if (Stats)

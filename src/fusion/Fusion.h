@@ -6,7 +6,8 @@
 /// lists in A's Base leaves (RUN/STEP of Figure 7), exploring only product
 /// states reachable through satisfiable branches (FUSE/PROD of Figure 6).
 /// The SMT solver is used incrementally: the accumulated branch context γ
-/// lives in the solver's assertion stack via push/pop.
+/// lives in the solver's assertion stack via push/pop, and a branch is
+/// kept unless the solver refutes its guard under γ (Solver::refutes).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -26,7 +27,8 @@ struct FusionStats {
   unsigned ProductStates = 0;    ///< control states in the result
   unsigned BranchesPruned = 0;   ///< subtrees cut by unsat branch contexts
   unsigned ItesCollapsed = 0;    ///< redundant Ite nodes merged (R1 == R2)
-  uint64_t SolverChecks = 0;     ///< satisfiability queries issued
+  uint64_t SolverChecks = 0;     ///< refutation queries issued
+  uint64_t Implied = 0;          ///< of those, implied by γ's bounds
   double Seconds = 0;            ///< wall-clock fusion time
 };
 

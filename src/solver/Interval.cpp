@@ -457,6 +457,13 @@ Tri IntervalAnalysis::checkConjunction(std::span<const TermRef> Asserts) {
   return AllTrue ? Tri::True : Tri::Unknown;
 }
 
+Tri IntervalAnalysis::evalUnder(std::span<const TermRef> Context,
+                                TermRef Phi) {
+  for (TermRef A : Context)
+    harvest(A);
+  return Contradiction ? Tri::Unknown : evalBool(Phi);
+}
+
 Value IntervalAnalysis::modelOf(TermRef T) {
   const Type *Ty = T->type();
   switch (Ty->kind()) {

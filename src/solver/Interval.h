@@ -41,6 +41,11 @@ public:
   /// Analyzes the conjunction of \p Asserts.
   Tri checkConjunction(std::span<const TermRef> Asserts);
 
+  /// The value of \p Phi for every assignment within the bounds harvested
+  /// from \p Context alone: True means Context implies Phi.  Unknown when
+  /// the bounds contradict each other.
+  Tri evalUnder(std::span<const TermRef> Context, TermRef Phi);
+
   /// After checkConjunction returned True: a satisfying value for a
   /// variable (or projection-chain leaf) term.
   Value modelOf(TermRef T);

@@ -235,31 +235,45 @@ SatResult Solver::checkImpl() {
   return SatResult::Unknown;
 }
 
-SatResult Solver::checkWith(TermRef Extra) {
+size_t Solver::cacheKey(TermRef Extra) const {
   // Result cache: fusion re-checks structurally identical contexts when
   // product states share rules; terms are interned, so the assertion
   // pointer sequence identifies the context exactly.
   size_t Key = 0;
-  if (CacheEnabled) {
-    auto Mix = [&](uint64_t V) {
-      Key ^= V + 0x9e3779b97f4a7c15ull + (Key << 6) + (Key >> 2);
-    };
-    for (const Frame &F : Frames)
-      for (TermRef A : F.Asserts)
-        Mix(A->id());
-    Mix(0xabcdef);
-    Mix(Extra->id());
-    auto It = CheckCache.find(Key);
-    if (It != CheckCache.end()) {
-      ++S.CacheHits;
-      static metrics::Counter &CacheHits = metrics::Registry::instance().counter(
-          "efc_solver_cache_hits_total", "checkWith() result-cache hits");
-      CacheHits.inc();
-      LastModel = ModelSrc::None;
-      return It->second;
-    }
-  }
+  auto Mix = [&](uint64_t V) {
+    Key ^= V + 0x9e3779b97f4a7c15ull + (Key << 6) + (Key >> 2);
+  };
+  for (const Frame &F : Frames)
+    for (TermRef A : F.Asserts)
+      Mix(A->id());
+  Mix(0xabcdef);
+  Mix(Extra->id());
+  return Key;
+}
 
+std::optional<SatResult> Solver::cachedResult(size_t Key) {
+  if (!CacheEnabled)
+    return std::nullopt;
+  auto It = CheckCache.find(Key);
+  if (It == CheckCache.end())
+    return std::nullopt;
+  ++S.CacheHits;
+  static metrics::Counter &CacheHits = metrics::Registry::instance().counter(
+      "efc_solver_cache_hits_total",
+      "checkWith()/refutes() result-cache hits");
+  CacheHits.inc();
+  LastModel = ModelSrc::None;
+  return It->second;
+}
+
+SatResult Solver::checkWith(TermRef Extra) {
+  size_t Key = cacheKey(Extra);
+  if (std::optional<SatResult> R = cachedResult(Key))
+    return *R;
+  return checkUncached(Extra, Key);
+}
+
+SatResult Solver::checkUncached(TermRef Extra, size_t Key) {
   push();
   add(Extra);
   SatResult R = check();
@@ -274,6 +288,26 @@ SatResult Solver::checkWith(TermRef Extra) {
   if (CacheEnabled && R != SatResult::Unknown)
     CheckCache.emplace(Key, R);
   return R;
+}
+
+bool Solver::refutes(TermRef Phi) {
+  static metrics::Counter &Implied = metrics::Registry::instance().counter(
+      "efc_solver_implied_total",
+      "refutes() guards implied by the context's interval bounds");
+  // A repeated question costs one lookup, less than the bounds below.
+  size_t Key = cacheKey(Phi);
+  if (std::optional<SatResult> R = cachedResult(Key))
+    return *R == SatResult::Unsat;
+  // The context implies Phi, so the conjunction is as satisfiable as the
+  // context: nothing to refute.
+  if (PresolveEnabled &&
+      IntervalAnalysis(Ctx).evalUnder(activeAssertions(), Phi) == Tri::True) {
+    ++S.Implied;
+    Implied.inc();
+    LastModel = ModelSrc::None;
+    return false;
+  }
+  return checkUncached(Phi, Key) == SatResult::Unsat;
 }
 
 Value Solver::modelValue(TermRef VarLike) {

@@ -6,7 +6,9 @@
 /// for Z3 in the paper.  Supports push/pop scopes (implemented with
 /// activation-literal assumptions so learned clauses survive, mirroring the
 /// paper's use of incremental solver contexts), a fast interval presolve,
-/// and model extraction.
+/// and model extraction.  Fusion asks only whether a guard is refuted
+/// under its branch context (refutes()); RBBE and the certifier ask for
+/// absolute answers (checkWith()).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -36,9 +38,10 @@ public:
     uint64_t FastUnsat = 0;    ///< decided by interval presolve
     uint64_t FastSat = 0;      ///< decided by interval presolve
     uint64_t GuessSat = 0;     ///< witnessed by concrete evaluation
-    uint64_t CacheHits = 0;    ///< repeated checkWith contexts
+    uint64_t CacheHits = 0;    ///< repeated checkWith/refutes queries
     uint64_t SatCalls = 0;     ///< fell through to CDCL
     uint64_t BudgetExceeded = 0;
+    uint64_t Implied = 0;      ///< refutes() guards the bounds imply
   };
 
   explicit Solver(TermContext &Ctx, int64_t ConflictBudget = 1000000);
@@ -59,6 +62,18 @@ public:
 
   /// Convenience: check() with \p Extra temporarily asserted.
   SatResult checkWith(TermRef Extra);
+
+  /// True when the active assertions conjoined with \p Phi are proven
+  /// unsatisfiable.  When \p Phi evaluates True under the interval bounds
+  /// harvested from the active assertions alone, the context implies it,
+  /// the conjunction is exactly as satisfiable as the context, and the
+  /// answer is false with no check() (counted in Stats::Implied);
+  /// otherwise it is checkWith(Phi) == Unsat.  A false answer claims no
+  /// proof, but under an unsatisfiable context it may miss one, so RBBE
+  /// and the certifier, which need absolute answers, use checkWith().
+  /// Fusion never works under a context known to be unsatisfiable.  Off
+  /// with the rest of the presolve (setPresolveEnabled(false)).
+  bool refutes(TermRef Phi);
 
   /// After check() returned Sat: the model value of a variable (or a
   /// projection-chain leaf).  Unconstrained variables default to zero.
@@ -112,6 +127,11 @@ private:
   std::unique_ptr<IntervalAnalysis> LastInterval;
 
   SatResult checkImpl();
+  /// checkWith()'s result cache: the key of the active assertions plus
+  /// \p Extra, a counted hit, and a check that fills the cache.
+  size_t cacheKey(TermRef Extra) const;
+  std::optional<SatResult> cachedResult(size_t Key);
+  SatResult checkUncached(TermRef Extra, size_t Key);
   std::vector<TermRef> activeAssertions() const;
   bool tryGuess(const std::vector<TermRef> &Asserts,
                 const IntervalAnalysis *IA);

@@ -9,6 +9,7 @@
 #include "bst/BstPrint.h"
 #include "bst/Interp.h"
 #include "fusion/Fusion.h"
+#include "runtime/PipelineCache.h"
 #include "stdlib/Reference.h"
 #include "stdlib/Transducers.h"
 #include "stdlib/Values.h"
@@ -266,6 +267,30 @@ TEST_F(FusionTest, StatsReportTime) {
   fuse(Dec, ToInt, S, {}, &Stats);
   EXPECT_GE(Stats.Seconds, 0.0);
   EXPECT_GT(Stats.SolverChecks, 0u);
+}
+
+// The served echo spec's formatter guards (digit bytes below 0x80 for
+// UTF8Encode) are implied by their branch context's bounds, so no check
+// may run out of conflict budget.  Asked as full checks, 177 of them
+// ended Unknown.
+TEST_F(FusionTest, EchoSpecEndsNoCheckUnknown) {
+  auto Spec = runtime::PipelineSpec::parse(
+      "frontend=regex\npattern=(?:(?<v>\\d+)|\\n)*\nagg=none\n"
+      "format=lines\n");
+  ASSERT_TRUE(Spec);
+  std::string Err;
+  auto Stages = runtime::assembleStages(*Spec, Ctx, &Err);
+  ASSERT_TRUE(Stages) << Err;
+  std::vector<const Bst *> Ptrs;
+  for (const Bst &St : *Stages)
+    Ptrs.push_back(&St);
+  Solver S(Ctx);
+  FusionStats Stats;
+  Bst Fused = fuseChain(Ptrs, S, {}, &Stats);
+  EXPECT_EQ(Fused.numStates(), 6u);
+  EXPECT_EQ(S.stats().BudgetExceeded, 0u) << "checks ended Unknown";
+  EXPECT_GT(Stats.Implied, 0u);
+  EXPECT_EQ(Stats.Implied, S.stats().Implied);
 }
 
 } // namespace

@@ -10,6 +10,15 @@
 
 namespace {
 
+/// A file in TempDir() private to the running test.  ctest runs the tests
+/// in separate processes, several at once, so a name shared by two tests
+/// would let one read the other's output.
+std::string tempFile(const char *Name) {
+  return ::testing::TempDir() + "/" +
+         ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+         "_" + Name;
+}
+
 std::string efccPath() {
   // ctest may run from the build root or build/tests.
   for (const char *P : {"./tools/efcc", "../tools/efcc", "build/tools/efcc"}) {
@@ -24,7 +33,7 @@ bool efccAvailable() { return !efccPath().empty(); }
 
 /// Runs a shell command, captures stdout.
 int runCmd(const std::string &Cmd, std::string &Out) {
-  std::string File = ::testing::TempDir() + "/efcc_out.txt";
+  std::string File = tempFile("efcc_out.txt");
   int Rc = std::system((Cmd + " > " + File + " 2>/dev/null").c_str());
   std::ifstream F(File);
   std::ostringstream Buf;
@@ -36,7 +45,7 @@ int runCmd(const std::string &Cmd, std::string &Out) {
 TEST(CliToolTest, CsvMaxEndToEnd) {
   if (!efccAvailable())
     GTEST_SKIP() << "efcc not built in expected location";
-  std::string Csv = ::testing::TempDir() + "/efcc_in.csv";
+  std::string Csv = tempFile("efcc_in.csv");
   {
     std::ofstream F(Csv);
     F << "a,17,x\nb,99,y\nc,40,z\n";
@@ -53,7 +62,7 @@ TEST(CliToolTest, CsvMaxEndToEnd) {
 TEST(CliToolTest, XPathSqlEndToEnd) {
   if (!efccAvailable())
     GTEST_SKIP();
-  std::string Xml = ::testing::TempDir() + "/efcc_in.xml";
+  std::string Xml = tempFile("efcc_in.xml");
   {
     std::ofstream F(Xml);
     F << "<r><v>5</v><pad/><v>6</v></r>";
@@ -68,14 +77,14 @@ TEST(CliToolTest, XPathSqlEndToEnd) {
 TEST(CliToolTest, EmitCppProducesCompilableSource) {
   if (!efccAvailable())
     GTEST_SKIP();
-  std::string Cpp = ::testing::TempDir() + "/efcc_gen.cpp";
+  std::string Cpp = tempFile("efcc_gen.cpp");
   std::string Out;
   int Rc = runCmd(efccPath() +
                       " --regex '(?<v>\\d+)' --format decimal --emit-cpp " +
                   Cpp, Out);
   EXPECT_EQ(Rc, 0);
   // The unit must at least compile as an object file.
-  std::string Obj = ::testing::TempDir() + "/efcc_gen.o";
+  std::string Obj = tempFile("efcc_gen.o");
   int CRc = std::system(
       ("c++ -std=c++17 -c -o " + Obj + " " + Cpp + " 2>/dev/null").c_str());
   EXPECT_EQ(CRc, 0);
@@ -84,7 +93,7 @@ TEST(CliToolTest, EmitCppProducesCompilableSource) {
 TEST(CliToolTest, RejectsInvalidInput) {
   if (!efccAvailable())
     GTEST_SKIP();
-  std::string Csv = ::testing::TempDir() + "/efcc_bad.csv";
+  std::string Csv = tempFile("efcc_bad.csv");
   {
     std::ofstream F(Csv);
     F << "not matching the pattern at all";
@@ -97,7 +106,7 @@ TEST(CliToolTest, RejectsInvalidInput) {
 
 /// Runs a shell command, captures stderr (stdout discarded).
 int runCmdErr(const std::string &Cmd, std::string &Err) {
-  std::string File = ::testing::TempDir() + "/efcc_err.txt";
+  std::string File = tempFile("efcc_err.txt");
   int Rc = std::system((Cmd + " > /dev/null 2>" + File).c_str());
   std::ifstream F(File);
   std::ostringstream Buf;
@@ -109,7 +118,7 @@ int runCmdErr(const std::string &Cmd, std::string &Err) {
 TEST(CliToolTest, MetricsDumpOnStderr) {
   if (!efccAvailable())
     GTEST_SKIP();
-  std::string Csv = ::testing::TempDir() + "/efcc_metrics_in.csv";
+  std::string Csv = tempFile("efcc_metrics_in.csv");
   {
     std::ofstream F(Csv);
     F << "a,17,x\nb,99,y\n";
@@ -124,10 +133,10 @@ TEST(CliToolTest, MetricsDumpOnStderr) {
   // A fresh process exercised solver, fusion, RBBE, cache and fast path;
   // all must appear in the Prometheus dump.
   for (const char *Family :
-       {"# TYPE efc_solver_checks_total counter", "efc_fusion_runs_total",
-        "efc_rbbe_runs_total 1", "efc_cache_builds_total 1",
-        "efc_fastpath_runs_total", "efc_fastpath_spec_runs_total",
-        "efc_fastpath_wide_elements_total"})
+       {"# TYPE efc_solver_checks_total counter", "efc_solver_implied_total",
+        "efc_fusion_runs_total", "efc_rbbe_runs_total 1",
+        "efc_cache_builds_total 1", "efc_fastpath_runs_total",
+        "efc_fastpath_spec_runs_total", "efc_fastpath_wide_elements_total"})
     EXPECT_NE(Err.find(Family), std::string::npos)
         << "missing from --metrics dump: " << Family << "\n" << Err;
   // --run output stays machine-clean: the dump must not be on stdout.
@@ -143,12 +152,12 @@ TEST(CliToolTest, MetricsDumpOnStderr) {
 TEST(CliToolTest, TraceEmitsCompileSpanTree) {
   if (!efccAvailable())
     GTEST_SKIP();
-  std::string Csv = ::testing::TempDir() + "/efcc_trace_in.csv";
+  std::string Csv = tempFile("efcc_trace_in.csv");
   {
     std::ofstream F(Csv);
     F << "a,17,x\n";
   }
-  std::string Trace = ::testing::TempDir() + "/efcc_trace.jsonl";
+  std::string Trace = tempFile("efcc_trace.jsonl");
   std::remove(Trace.c_str());
   std::string Out;
   int Rc = runCmd("EFC_TRACE=" + Trace + " " + efccPath() +

@@ -265,9 +265,10 @@ int main(int argc, char **argv) {
   if (Stats) {
     fprintf(stderr,
             "efcc: %zu stages fused into %u states, %u branches "
-            "(%.2fs, %llu solver checks)\n",
+            "(%.2fs, %llu solver queries, %llu implied)\n",
             P->NumStages, P->Fused->numStates(), P->Fused->countBranches(),
-            P->FStats.Seconds, (unsigned long long)P->FStats.SolverChecks);
+            P->FStats.Seconds, (unsigned long long)P->FStats.SolverChecks,
+            (unsigned long long)P->FStats.Implied);
     if (DoRbbe)
       fprintf(stderr, "efcc: RBBE removed %u branches in %.2fs\n",
               P->RStats.BranchesRemoved + P->RStats.FinalBranchesRemoved,
