@@ -64,13 +64,15 @@
 #      (asserts internally that a simulated restart hits the on-disk
 #      native artifact cache instead of re-invoking the host compiler).
 #  12. Backend-equivalence certification: `efc-verify` proves VM bytecode,
-#      fast-path tables/kernels/nibble encodings/wide tables/spec pairs
-#      and the codegen classifier hash agree for every
-#      fig9/fig10/fig11/fig13 pipeline; any refutation fails the script
-#      (exit 1).  "unverified" states (budget exhaustion) pass — the fuzz
-#      smoke above covers them probabilistically.  The same obligations
-#      are unit-tested under `ctest -L certify` (mutation injection,
-#      corpus replay), which already ran as part of tier-1.
+#      fast-path tables/kernels/residual programs/nibble encodings/wide
+#      tables/spec pairs and the codegen classifier hash agree for every
+#      fig9/fig10/fig11/fig13 pipeline.  The step fails unless the summary
+#      reads 17 certified and 0 unverified: a refutation fails it, and so
+#      does a state left unverified (budget exhaustion, a path cap, an
+#      obligation the checker cannot discharge), so certification cannot
+#      degrade silently.  The same obligations are unit-tested under
+#      `ctest -L certify` (mutation injection, corpus replay), which
+#      already ran as part of tier-1.
 #
 # Every label-filtered ctest passes --no-tests=error, so a selection that
 # matches nothing fails instead of passing vacuously.  ctest gets an
@@ -373,6 +375,15 @@ echo "== [11/12] cache-hit vs cache-miss latency =="
 echo "== [12/12] backend-equivalence certification =="
 # efc-verify compiles all 17 pipelines through the pass manager and also
 # prints the per-pass artifact-cache stats line (hits/lookups per pass).
-"$BUILD/tools/efc-verify" --quiet
+# It writes its report to stderr.
+VERIFY_LOG="$SCRATCH/verify.log"
+"$BUILD/tools/efc-verify" --quiet 2> "$VERIFY_LOG" || {
+  cat "$VERIFY_LOG" >&2; exit 1; }
+cat "$VERIFY_LOG"
+if ! grep -q "17 pipelines: 17 certified, 0 unverified, 0 refuted" \
+    "$VERIFY_LOG"; then
+  echo "certification degraded: want 17 certified, 0 unverified" >&2
+  exit 1
+fi
 
 echo "== ci.sh: all green =="

@@ -397,14 +397,19 @@ private:
   }
 
   /// Transition body for state Q: table dispatch over the byte classes
-  /// when eligible, then the original guard chain.  The chain stays
-  /// reachable on purpose — it handles elements >= 256 of a wider stream
-  /// and, for input widths below 8, bytes outside the valid range, where
-  /// the table's masked precomputation would not match the unmasked
-  /// comparisons the guards perform (the VM fast path makes the same
-  /// split).  A byte stream needs no range test before the table.
+  /// when eligible, then the original guard chain.  Each switch arm runs
+  /// its class's node: a leaf, or the residual subtree below the first
+  /// guard that reads a register.  The chain handles what the table
+  /// cannot: elements >= 256 of a wider stream and, for input widths
+  /// below 8, bytes outside the valid range, where the table's masked
+  /// precomputation would not match the unmasked comparisons the guards
+  /// perform (the VM fast path makes the same split).  A byte stream
+  /// over a table of all 256 bytes reaches no chain, so none is emitted
+  /// and the last class is the switch's default.
   std::string deltaCode(unsigned Q) {
     std::string S;
+    const bool Covered = usesTable(Q) && Ty.In == ElemWidth::U8 &&
+                         Tables[Q].ValidBytes == 256;
     if (usesTable(Q) || !Kernels[Q].empty()) {
       S += Ty.In == ElemWidth::U8 ? "  {\n" : "  if (x < 0x100ull) {\n";
       // Run kernels first: a loop byte consumes its whole span and
@@ -417,17 +422,23 @@ private:
         const ByteClassTable &C = Tables[Q];
         S += "    switch (" + tableName(Q) + "[x]) {\n";
         for (unsigned K = 0; K < C.numClasses(); ++K) {
-          S += "    case " + std::to_string(K) + ": {\n";
+          S += Covered && K + 1 == C.numClasses()
+                   ? "    default: {\n"
+                   : "    case " + std::to_string(K) + ": {\n";
           S += ruleCode(C.Leaves[K], /*IsFinalizer=*/false, 3);
           S += "    }\n";
         }
-        S += "    default: break;\n    }\n";
+        if (!Covered)
+          S += "    default: break;\n";
+        S += "    }\n";
       }
       S += "  }\n";
     }
-    S += "  {\n";
-    S += ruleCode(A.delta(Q).get(), /*IsFinalizer=*/false, 1);
-    S += "  }\n";
+    if (!Covered) {
+      S += "  {\n";
+      S += ruleCode(A.delta(Q).get(), /*IsFinalizer=*/false, 1);
+      S += "  }\n";
+    }
     return S;
   }
 
@@ -653,10 +664,10 @@ std::string efc::generateCpp(const Bst &A, const CodeGenOptions &Opts,
 
 namespace {
 
-/// Structural FNV-1a hasher for the classifier fingerprint.  Variables
-/// hash by name and types by shape, never by pointer or interning id, so
-/// the result is stable across TermContexts and across processes (it
-/// guards the on-disk native-artifact cache).
+/// Structural FNV-1a hasher for the IR and classifier fingerprints.
+/// Variables hash by name and types by shape, never by pointer or
+/// interning id, so the result is stable across TermContexts and across
+/// processes (it guards the on-disk native-artifact cache).
 class ClassifierHasher {
 public:
   explicit ClassifierHasher(const TermContext &Ctx) : Ctx(Ctx) {}
@@ -756,11 +767,8 @@ private:
 
 } // namespace
 
-uint64_t efc::classifierHash(const Bst &A) {
+uint64_t efc::irHash(const Bst &A) {
   ClassifierHasher CH(A.context());
-  // Fingerprint format version (02: nibble tables; 03: byte-width
-  // element streams, so units of the uint64_t ABI never load).
-  CH.mix(0xefc0de03ull);
   CH.mix(A.numStates());
   CH.mix(A.initialState());
   CH.mix(CH.typeHash(A.inputType()));
@@ -770,6 +778,18 @@ uint64_t efc::classifierHash(const Bst &A) {
   for (unsigned Q = 0; Q < A.numStates(); ++Q) {
     CH.mixRule(A.delta(Q).get());
     CH.mixRule(A.finalizer(Q).get());
+  }
+  return CH.hash();
+}
+
+uint64_t efc::classifierHash(const Bst &A) {
+  ClassifierHasher CH(A.context());
+  // Fingerprint format version (02: nibble tables; 03: byte-width
+  // element streams, so units of the uint64_t ABI never load; 04: the
+  // IR hash first, classification stopping at register guards).
+  CH.mix(0xefc0de04ull);
+  CH.mix(irHash(A));
+  for (unsigned Q = 0; Q < A.numStates(); ++Q) {
     // The classification artifacts codegen actually bakes into tables,
     // recomputed exactly as UnitEmitter computes them.
     ByteClassTable C = classifyDeltaByteClasses(A, Q);

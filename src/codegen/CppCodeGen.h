@@ -70,10 +70,17 @@ struct CodeGenTestVector {
 std::string generateCpp(const Bst &A, const CodeGenOptions &Opts = {},
                         const std::vector<CodeGenTestVector> &Vectors = {});
 
+/// Context- and process-independent fingerprint of the IR \p A alone:
+/// its structural rule trees, state count, element and register types,
+/// and initial configuration.  Variables hash by name, types by shape.
+/// It keys the per-pass artifact cache (pipeline/Pass.h) and names what
+/// fusion produced, independent of how the backends classify it.
+uint64_t irHash(const Bst &A);
+
 /// Context- and process-independent fingerprint of everything code
-/// generation derives from \p A: the structural rule trees, state/register
-/// layout, initial configuration, and the byte-class tables and run
-/// kernels recomputed by classifyDeltaByteClasses / classifyRunKernels.
+/// generation derives from \p A: irHash(A), then the byte-class tables
+/// and run kernels recomputed by classifyDeltaByteClasses /
+/// classifyRunKernels.
 /// generateCpp embeds it in the emitted source as
 /// `<name>_classifier_hash`, NativeCompile re-exports it from the shared
 /// object and re-checks it at dlopen, and the equivalence checker

@@ -9,10 +9,10 @@
 ///
 ///   * transforms the BST IR or derives a side artifact from it,
 ///   * fingerprints its own options (optionsHash) and its input IR
-///     (inputHash — the codegen classifier hash of the IR *entering* the
-///     pass), so per-pass artifact caching composes: changing only a
-///     downstream option (RBBE budget, fastpath knobs) re-keys that pass
-///     alone and reuses every upstream cached result,
+///     (inputHash — the IR hash of the IR *entering* the pass), so
+///     per-pass artifact caching composes: changing only a downstream
+///     option (RBBE budget, fastpath knobs) re-keys that pass alone and
+///     reuses every upstream cached result,
 ///   * opens the same trace::Span names the monolithic driver used, so
 ///     span trees stay stable, and
 ///   * declares invariants that EFC_VERIFY_IR=1 checks between passes
@@ -115,8 +115,9 @@ public:
   std::vector<const Bst *> Stages;
 
   std::shared_ptr<const Bst> Ir;
-  /// classifierHash(*Ir): stable across TermContexts and processes, so
-  /// it keys the per-pass artifact cache and the golden tests.
+  /// irHash(*Ir) (codegen/CppCodeGen.h): stable across TermContexts and
+  /// processes, so it keys the per-pass artifact cache and the golden
+  /// tests.
   uint64_t IrHash = 0;
 
   std::shared_ptr<const CompiledTransducer> Vm;
@@ -166,7 +167,7 @@ public:
   /// FNV fingerprint of every PipelineOptions field this pass reads.
   virtual uint64_t optionsHash(const PipelineOptions &O) const = 0;
   /// Cache-key input hash: the IR hash entering the pass.  `fuse`
-  /// overrides this with the combined per-stage classifier hash.
+  /// overrides this with the combined per-stage IR hash.
   virtual uint64_t inputHash(const PassContext &PC) const {
     return PC.IrHash;
   }

@@ -302,7 +302,7 @@ bool PassManager::run(PassContext &PC, const PipelineOptions &O,
             *Err = "pass '" + Name + "' produced no IR";
           Ok = false;
         } else {
-          PC.IrHash = classifierHash(*PC.Ir);
+          PC.IrHash = irHash(*PC.Ir);
         }
       }
       if (Ok && O.VerifyIr) {

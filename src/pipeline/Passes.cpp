@@ -44,7 +44,7 @@ uint64_t bitsOf(double D) {
 //===----------------------------------------------------------------------===//
 
 /// ⊗-fuses the stage chain (paper §3).  Keyed on the combined per-stage
-/// classifier hash, so any caller assembling the same stages — whatever
+/// IR hash, so any caller assembling the same stages — whatever
 /// the spec or downstream options — shares one fusion.
 class FusePass : public Pass {
 public:
@@ -62,7 +62,7 @@ public:
     uint64_t H = FnvInit;
     H = fnv1a(H, PC.Stages.size());
     for (const Bst *St : PC.Stages)
-      H = fnv1a(H, classifierHash(*St));
+      H = fnv1a(H, irHash(*St));
     return H;
   }
 

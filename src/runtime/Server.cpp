@@ -946,9 +946,9 @@ void Server::eraseSession(Shard &S, const std::string &Name) {
     return;
   Session &Sess = *It->second;
   if (Sess.Stream) {
-    // Fold the session's run-acceleration telemetry into the shard
-    // totals exactly once, at end of life (home-shard-ordered, so the
-    // stream is quiescent here).
+    // Fold the session's execution ledger into the shard totals exactly
+    // once, at end of life (home-shard-ordered, so the stream is
+    // quiescent here).
     S.Ct.FastRuns.fetch_add(Sess.Stream->fastRuns(),
                             std::memory_order_relaxed);
     S.Ct.FastRunElements.fetch_add(Sess.Stream->fastRunElements(),
@@ -959,6 +959,12 @@ void Server::eraseSession(Shard &S, const std::string &Name) {
                                 std::memory_order_relaxed);
     S.Ct.FastSpecElements.fetch_add(Sess.Stream->fastSpecElements(),
                                     std::memory_order_relaxed);
+    S.Ct.FastTableElements.fetch_add(Sess.Stream->fastTableElements(),
+                                     std::memory_order_relaxed);
+    S.Ct.FastProgramElements.fetch_add(Sess.Stream->fastProgramElements(),
+                                       std::memory_order_relaxed);
+    S.Ct.FastBytecodeElements.fetch_add(Sess.Stream->fastBytecodeElements(),
+                                        std::memory_order_relaxed);
   }
   uint64_t Gen = Sess.Gen;
   // Copy before the erase: callers routinely pass the session's own Name
@@ -1150,7 +1156,8 @@ std::string Server::statsText() const {
   uint64_t Opened = 0, FramesIn = 0, Replies = 0, Errors = 0, Rejected = 0,
            Dropped = 0, BytesIn = 0, BytesOut = 0, Evicted = 0, Cross = 0,
            Accepts = 0, FastRuns = 0, FastRunElems = 0, FastWide = 0,
-           FastSpecRuns = 0, FastSpecElems = 0;
+           FastSpecRuns = 0, FastSpecElems = 0, FastTable = 0,
+           FastProgram = 0, FastBytecode = 0;
   int64_t Live = 0, Conns = 0;
   std::string PerShard;
   for (const auto &SP : Shards) {
@@ -1171,6 +1178,9 @@ std::string Server::statsText() const {
     FastWide += Ct.FastWideElements.load(std::memory_order_relaxed);
     FastSpecRuns += Ct.FastSpecRuns.load(std::memory_order_relaxed);
     FastSpecElems += Ct.FastSpecElements.load(std::memory_order_relaxed);
+    FastTable += Ct.FastTableElements.load(std::memory_order_relaxed);
+    FastProgram += Ct.FastProgramElements.load(std::memory_order_relaxed);
+    FastBytecode += Ct.FastBytecodeElements.load(std::memory_order_relaxed);
     Live += Ct.SessionsLive.load(std::memory_order_relaxed);
     Conns += Ct.ConnsLive.load(std::memory_order_relaxed);
     char SBuf[192];
@@ -1189,7 +1199,7 @@ std::string Server::statsText() const {
     PerShard += SBuf;
   }
 
-  char Buf[640];
+  char Buf[800];
   snprintf(Buf, sizeof(Buf),
            "sessions_opened=%llu sessions_active=%lld frames_in=%llu "
            "replies=%llu errors=%llu rejected=%llu frames_dropped=%llu "
@@ -1197,7 +1207,8 @@ std::string Server::statsText() const {
            "bytes_in=%llu "
            "bytes_out=%llu fast_runs=%llu fast_run_elems=%llu "
            "fast_wide_elems=%llu fast_spec_runs=%llu "
-           "fast_spec_elems=%llu "
+           "fast_spec_elems=%llu fast_table_elems=%llu "
+           "fast_program_elems=%llu fast_bytecode_elems=%llu "
            "shards=%u backlog_cap=%zu tcp=%s",
            (unsigned long long)Opened, (long long)Live,
            (unsigned long long)FramesIn, (unsigned long long)Replies,
@@ -1208,7 +1219,9 @@ std::string Server::statsText() const {
            (unsigned long long)BytesOut, (unsigned long long)FastRuns,
            (unsigned long long)FastRunElems, (unsigned long long)FastWide,
            (unsigned long long)FastSpecRuns,
-           (unsigned long long)FastSpecElems, Opts.Shards,
+           (unsigned long long)FastSpecElems, (unsigned long long)FastTable,
+           (unsigned long long)FastProgram,
+           (unsigned long long)FastBytecode, Opts.Shards,
            Opts.MaxConnBacklog,
            !Opts.Tcp          ? "off"
            : TcpReusePort     ? "reuseport"

@@ -176,6 +176,9 @@ private:
     std::atomic<uint64_t> FastWideElements{0};
     std::atomic<uint64_t> FastSpecRuns{0};
     std::atomic<uint64_t> FastSpecElements{0};
+    std::atomic<uint64_t> FastTableElements{0};
+    std::atomic<uint64_t> FastProgramElements{0};
+    std::atomic<uint64_t> FastBytecodeElements{0};
   };
 
   struct Shard {

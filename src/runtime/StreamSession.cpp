@@ -19,6 +19,9 @@ void StreamSession::bindMetrics() {
                         "Input bytes fed into stream sessions", Label);
   MBytesOut = &R.counter("efc_stream_bytes_out_total",
                          "Output bytes drained from stream sessions", Label);
+  if (Kind == Backend::Vm)
+    MVmBytecode = &R.counter(FastPathCursor::BytecodeCounterName,
+                             FastPathCursor::BytecodeCounterHelp);
 }
 
 StreamSession StreamSession::overVm(const CompiledTransducer &T) {
@@ -98,11 +101,16 @@ void StreamSession::account(size_t Out0) {
 
 bool StreamSession::feedBlock(const uint8_t *In, size_t N) {
   switch (Kind) {
-  case Backend::Vm:
-    for (size_t I = 0; I < N; ++I)
-      if (!Cur->feed(In[I], Output))
-        return false;
-    return true;
+  case Backend::Vm: {
+    size_t I = 0;
+    bool Ok = true;
+    while (I < N && Ok)
+      Ok = Cur->feed(In[I++], Output);
+    VmElements += I;
+    if (MVmBytecode && I)
+      MVmBytecode->inc(I);
+    return Ok;
+  }
   case Backend::Fast:
     return FCur->feed(In, N, Output);
   case Backend::Native:

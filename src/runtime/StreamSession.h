@@ -105,6 +105,20 @@ public:
   uint64_t fastSpecElements() const {
     return FCur ? FCur->runCounters().SpecElements : 0;
   }
+  /// The rest of the execution ledger (vm/FastPath.h RunCounters):
+  /// elements resolved by byte-table Const/Jump/Reject actions, run
+  /// through table programs (leaf and residual), and run through a
+  /// state's whole bytecode program.  A VM session counts every element
+  /// it ran as bytecode; a native session counts none.
+  uint64_t fastTableElements() const {
+    return FCur ? FCur->runCounters().TableElements : 0;
+  }
+  uint64_t fastProgramElements() const {
+    return FCur ? FCur->runCounters().ProgramElements : 0;
+  }
+  uint64_t fastBytecodeElements() const {
+    return FCur ? FCur->runCounters().BytecodeElements : VmElements;
+  }
 
 private:
   StreamSession() = default;
@@ -121,6 +135,7 @@ private:
 
   // VM backend.
   std::optional<CompiledTransducer::Cursor> Cur;
+  uint64_t VmElements = 0; ///< elements the VM ran (its bytecode tier)
 
   // Fast-path backend.
   std::optional<FastPathCursor> FCur;
@@ -139,6 +154,7 @@ private:
   // append-only registry, so copies/moves of the session stay valid.
   metrics::Counter *MBytesIn = nullptr;
   metrics::Counter *MBytesOut = nullptr;
+  metrics::Counter *MVmBytecode = nullptr; ///< VM sessions only
 };
 
 } // namespace efc::runtime

@@ -36,6 +36,7 @@
 #include "term/Eval.h"
 
 #include <algorithm>
+#include <array>
 #include <cinttypes>
 #include <cstdio>
 #include <unordered_map>
@@ -287,6 +288,7 @@ private:
 
   std::unordered_map<TermRef, TermRef> ValMemo, CondMemo;
   std::unordered_map<TermRef, bool> XOnlyMemo;
+  std::unordered_map<TermRef, std::array<uint64_t, 4>> ByteCondBits;
 
   CertReport R;
   Stopwatch StateTimer;
@@ -881,7 +883,8 @@ private:
                           const std::vector<TermRef> *VmConds,
                           bool IsFinalizer,
                           std::vector<uint64_t> &WitnessOut,
-                          std::string &DetailOut) {
+                          std::string &DetailOut,
+                          const std::string &What = "rule") {
     DistinguishQuery Q(S);
     Q.assumeAll(DomainConds);
     Q.assumeAll(RuleConds);
@@ -889,8 +892,8 @@ private:
       Q.assumeAll(*VmConds);
     if (RuleObs.Reject != Vm.Reject) {
       Q.requireDisagree();
-      DetailOut = RuleObs.Reject ? "rule rejects, bytecode accepts"
-                                 : "rule accepts, bytecode rejects";
+      DetailOut = What + (RuleObs.Reject ? " rejects, bytecode accepts"
+                                         : " accepts, bytecode rejects");
     } else if (RuleObs.Reject) {
       return PairVerdict::Trivial; // both reject: no observations
     } else {
@@ -1061,13 +1064,31 @@ private:
     return V.isBool() ? uint64_t(V.boolValue()) : V.bits();
   }
 
-  /// The VM path byte B takes (guards of table states are input-only);
-  /// nullptr when a guard unexpectedly reads a register.
+  /// Truth of path condition \p Cn at input byte \p B < 256, evaluated
+  /// once per condition for all 256 bytes; std::nullopt when \p Cn reads
+  /// a register.
+  std::optional<bool> condAtByte(TermRef Cn, uint64_t B) {
+    if (!usesOnlyX(Cn))
+      return std::nullopt;
+    auto It = ByteCondBits.find(Cn);
+    if (It == ByteCondBits.end()) {
+      std::array<uint64_t, 4> Bits{};
+      for (uint64_t U = 0; U < 256; ++U)
+        if (*evalAtByte(Cn, U))
+          Bits[U >> 6] |= uint64_t(1) << (U & 63);
+      It = ByteCondBits.emplace(Cn, Bits).first;
+    }
+    return (It->second[B >> 6] >> (B & 63)) & 1;
+  }
+
+  /// The VM path byte B takes when it reaches a plain leaf (every guard
+  /// on its way is input-only); nullptr when a guard on the way reads a
+  /// register.
   const SymPath *pathAtByte(const std::vector<SymPath> &VPaths, uint64_t B) {
     for (const SymPath &P : VPaths) {
       bool All = true;
       for (TermRef Cn : P.Conds) {
-        std::optional<uint64_t> V = evalAtByte(Cn, B);
+        std::optional<bool> V = condAtByte(Cn, B);
         if (!V) // register-dependent guard: caller degrades
           return nullptr;
         if (!*V) {
@@ -1079,6 +1100,84 @@ private:
         return &P;
     }
     return nullptr;
+  }
+
+  /// A program path byte B can take: every input-only condition on it
+  /// holds at B.  Residual keeps the conditions that read registers, in
+  /// branch order, for the solver.
+  struct BytePath {
+    const SymPath *P;
+    std::vector<TermRef> Residual;
+  };
+
+  std::vector<BytePath> pathsAtByte(const std::vector<SymPath> &Paths,
+                                    uint64_t B) {
+    std::vector<BytePath> Out;
+    for (const SymPath &P : Paths) {
+      BytePath BP{&P, {}};
+      bool Feasible = true;
+      for (TermRef Cn : P.Conds) {
+        std::optional<bool> V = condAtByte(Cn, B);
+        if (!V)
+          BP.Residual.push_back(Cn);
+        else if (!*V) {
+          Feasible = false;
+          break;
+        }
+      }
+      if (Feasible)
+        Out.push_back(std::move(BP));
+    }
+    return Out;
+  }
+
+  /// The obligation of a table Program action at byte B: wherever a path
+  /// of the action's program and a path of the state's bytecode can both
+  /// be taken at B, they reject alike or reach the same target with the
+  /// same emits and register writes.  A residual program branches on
+  /// registers, so both sides keep their register-reading conditions and
+  /// the solver decides each pair whose observations are not identical
+  /// terms.  When the two path lists line up with identical residual
+  /// conditions (the residual program is compiled from the bytecode's
+  /// own subtree, so they normally do), only aligned pairs are compared:
+  /// each register valuation takes path I on both sides.
+  void checkProgramAtByte(unsigned Q, const std::vector<SymPath> &APaths,
+                          const std::vector<SymPath> &VPaths, uint64_t B) {
+    std::vector<BytePath> AF = pathsAtByte(APaths, B);
+    std::vector<BytePath> VF = pathsAtByte(VPaths, B);
+    if (AF.empty() || VF.empty()) {
+      degrade(CertStatus::Unverified); // malformed: no path covers B
+      return;
+    }
+    bool Aligned = AF.size() == VF.size();
+    for (size_t I = 0; Aligned && I < AF.size(); ++I)
+      Aligned = AF[I].Residual == VF[I].Residual;
+    TermRef AtB = Ctx.mkEq(X64, C.k(B));
+    for (size_t I = 0; I < AF.size(); ++I) {
+      size_t J0 = Aligned ? I : 0, J1 = Aligned ? I + 1 : VF.size();
+      for (size_t J = J0; J < J1; ++J) {
+        if (!budgetLeft())
+          return;
+        std::vector<TermRef> Conds = AF[I].Residual;
+        Conds.push_back(AtB);
+        std::vector<uint64_t> Witness;
+        std::string Detail;
+        switch (comparePair(*AF[I].P, Conds, *VF[J].P,
+                            Aligned ? nullptr : &VF[J].Residual,
+                            /*IsFinalizer=*/false, Witness, Detail,
+                            "table program")) {
+        case PairVerdict::Equal:
+        case PairVerdict::Trivial:
+          break;
+        case PairVerdict::Unknown:
+          degrade(CertStatus::Unverified);
+          break;
+        case PairVerdict::Distinct:
+          refute(makeCe("table", Q, false, Witness, Detail));
+          return;
+        }
+      }
+    }
   }
 
   /// Proves Term == Want at input byte B (concrete evaluation when the
@@ -1179,6 +1278,8 @@ private:
                       : (1u << ITy->width());
 
     // Every dispatch entry against the bytecode evaluation at that byte.
+    std::vector<std::optional<std::vector<SymPath>>> ActPaths(
+        ST.Actions.size());
     for (unsigned B = 0; B < 256; ++B) {
       if (!budgetLeft())
         return;
@@ -1196,10 +1297,23 @@ private:
       }
       if (Act.K == FastPathPlan::Action::Kind::Fallback)
         continue; // dispatches to the bytecode program itself
+      if (Act.K == FastPathPlan::Action::Kind::Program) {
+        // Leaf and residual programs: symbolic paths once per action.
+        std::optional<std::vector<SymPath>> &AP = ActPaths[ST.Dispatch[B]];
+        if (!AP && !symExec(Act.Code, /*IsFinalizer=*/false, AP.emplace()))
+          AP->clear();
+        if (AP->empty())
+          degrade(CertStatus::Unverified);
+        else
+          checkProgramAtByte(Q, *AP, VPaths, B);
+        if (StateStatus == CertStatus::Refuted)
+          return;
+        continue;
+      }
       const SymPath *Vp = pathAtByte(VPaths, B);
       if (!Vp) {
-        // A guard read a register in a table-eligible state; the table
-        // cannot be validated byte-concretely.
+        // A register guard on the way to a Const/Jump/Reject byte: the
+        // entry cannot be validated byte-concretely.
         degrade(CertStatus::Unverified);
         return;
       }
@@ -1251,51 +1365,7 @@ private:
                        B, Q, "table", "table action");
         break;
       }
-      case FastPathPlan::Action::Kind::Program: {
-        std::vector<SymPath> APaths;
-        if (!symExec(Act.Code, /*IsFinalizer=*/false, APaths) ||
-            APaths.empty()) {
-          degrade(CertStatus::Unverified);
-          break;
-        }
-        // Leaf programs are straight-line (exactly one path); compare it
-        // against the byte's bytecode path under x == B.  Identical terms
-        // short-circuit without the solver.
-        const SymPath &Ap = APaths.front();
-        if (APaths.size() != 1) {
-          degrade(CertStatus::Unverified);
-          break;
-        }
-        if (Ap.Reject != Vp->Reject ||
-            (!Ap.Reject &&
-             (Ap.Target != Vp->Target ||
-              Ap.Emits.size() != Vp->Emits.size()))) {
-          refute(makeCe("table", Q, false, {B},
-                        "leaf program structure disagrees with bytecode"));
-          break;
-        }
-        if (Ap.Reject)
-          break;
-        DistinguishQuery Qr(S);
-        Qr.assumeAll(DomainConds);
-        Qr.assume(Ctx.mkEq(X64, C.k(B)));
-        for (size_t I = 0; I < Ap.Emits.size(); ++I)
-          Qr.requireEqual(Ap.Emits[I], Vp->Emits[I]);
-        for (size_t I = 0; I < Ap.RegOut.size(); ++I)
-          Qr.requireEqual(Ap.RegOut[I], Vp->RegOut[I]);
-        if (Qr.trivial()) {
-          ++R.TrivialMatches;
-          break;
-        }
-        ++R.SolverQueries;
-        DistinguishResult DR = Qr.check(witnessVars(false));
-        if (DR.R == SatResult::Sat)
-          refute(makeCe("table", Q, false, DR.Witness,
-                        "leaf program effect disagrees with bytecode"));
-        else if (DR.R == SatResult::Unknown)
-          degrade(CertStatus::Unverified);
-        break;
-      }
+      case FastPathPlan::Action::Kind::Program: // checked above
       case FastPathPlan::Action::Kind::Fallback:
         break;
       }

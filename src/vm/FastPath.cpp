@@ -44,6 +44,9 @@ bool inputOnly(TermRef T, TermRef InputVar,
   return R;
 }
 
+/// True when every guard of \p R reads only \p InputVar: the states a
+/// wide table can cover, since it classifies each element by evaluating
+/// every guard on the element alone.
 bool guardsInputOnly(const Rule *R, TermRef InputVar,
                      std::unordered_map<TermRef, bool> &Memo) {
   while (R->isIte()) {
@@ -135,7 +138,10 @@ ByteClassTable efc::classifyDeltaByteClasses(const Bst &A, unsigned Q) {
   const Rule *Root = A.delta(Q).get();
 
   std::unordered_map<TermRef, bool> Memo;
-  if (!guardsInputOnly(Root, X, Memo))
+  auto inputGuard = [&](const Rule *L) {
+    return L->isIte() && inputOnly(L->cond(), X, Memo);
+  };
+  if (Root->isIte() && !inputGuard(Root))
     return R;
 
   R.Eligible = true;
@@ -145,7 +151,7 @@ ByteClassTable efc::classifyDeltaByteClasses(const Bst &A, unsigned Q) {
     Env E;
     E.bind(X, inputValueAt(ITy, W, B));
     const Rule *L = Root;
-    while (L->isIte())
+    while (inputGuard(L))
       L = evalTerm(L->cond(), E).boolValue() ? L->thenRule().get()
                                              : L->elseRule().get();
     auto [It, New] = Ids.emplace(L, uint16_t(R.Leaves.size()));
@@ -177,7 +183,7 @@ std::vector<RunKernel> efc::classifyRunKernels(const Bst &A, unsigned Q,
   std::vector<TermRef> NewLeaves;
   for (uint16_t K = 0; K < C.numClasses(); ++K) {
     const Rule *L = C.Leaves[K];
-    if (L->isUndef() || L->target() != Q)
+    if (!L->isBase() || L->target() != Q)
       continue;
     // Every changed register leaf must be a constant term: constant
     // writes repeated over a span are idempotent, so the kernel applies
@@ -280,7 +286,8 @@ namespace {
 /// of the four for an element >= 256; in a byte stream the test folds
 /// away.
 template <class T>
-size_t scanMaskScalar(const T *In, size_t I, size_t N, const RunKernel &RK) {
+EFC_HOT_ALIGN size_t scanMaskScalar(const T *In, size_t I, size_t N,
+                                    const RunKernel &RK) {
   const std::array<uint64_t, 4> &M = RK.Mask;
   if (RK.SingleEscape >= 0) {
     const uint64_t Esc = uint64_t(RK.SingleEscape);
@@ -314,15 +321,16 @@ size_t scanMaskScalar(const T *In, size_t I, size_t N, const RunKernel &RK) {
 
 /// Below AVX2 the block scan is a no-op: the scalar tails do the work.
 template <class T>
-size_t nibbleBlocksNone(const T *, size_t I, size_t, const uint8_t *,
-                        const uint8_t *) {
+EFC_HOT_ALIGN size_t nibbleBlocksNone(const T *, size_t I, size_t,
+                                      const uint8_t *, const uint8_t *) {
   return I;
 }
 
 /// Scalar alternation: legs must strictly interleave M1,M2,M1,...
 /// starting on M1 at \p I.
 template <class T>
-size_t scanAltScalar(const T *In, size_t I, size_t N, const SpecPair &SP) {
+EFC_HOT_ALIGN size_t scanAltScalar(const T *In, size_t I, size_t N,
+                                   const SpecPair &SP) {
   for (;;) {
     if (I >= N || !SpecPair::maskCovers(SP.M1, In[I]))
       return I;
@@ -338,8 +346,8 @@ size_t scanAltScalar(const T *In, size_t I, size_t N, const SpecPair &SP) {
 /// SSE2 (x86-64 baseline), byte streams: single-escape masks compare 16
 /// bytes per load and return the escape's exact index.  Multi-class masks
 /// stay on SWAR (pshufb needs SSSE3).
-size_t scanMaskSse2(const uint8_t *In, size_t I, size_t N,
-                    const RunKernel &RK) {
+EFC_HOT_ALIGN size_t scanMaskSse2(const uint8_t *In, size_t I, size_t N,
+                                  const RunKernel &RK) {
   if (RK.SingleEscape >= 0) {
     const __m128i VEsc = _mm_set1_epi8(char(RK.SingleEscape));
     for (; I + 16 <= N; I += 16) {
@@ -373,7 +381,7 @@ __attribute__((target("avx2"))) inline __m256i broadcast16(const uint8_t *P) {
 /// 16-bit stream range-checks two loads and packs them to bytes (lane-
 /// interleaved, which the all-bytes-pass test does not care about).
 template <class T>
-__attribute__((target("avx2"))) size_t
+EFC_HOT_ALIGN __attribute__((target("avx2"))) size_t
 nibbleBlocksAvx2(const T *In, size_t I, size_t N, const uint8_t *Lo,
                  const uint8_t *Hi) {
   static_assert(sizeof(T) <= 2, "no vector scan for 64-bit elements");
@@ -402,7 +410,7 @@ nibbleBlocksAvx2(const T *In, size_t I, size_t N, const uint8_t *Lo,
 /// classifies one 64-byte load with no range test; a 16-bit stream
 /// range-checks two loads and packs them.
 template <class T>
-__attribute__((target("avx512f,avx512bw,avx512vl,avx2"))) size_t
+EFC_HOT_ALIGN __attribute__((target("avx512f,avx512bw,avx512vl,avx2"))) size_t
 nibbleBlocksAvx512(const T *In, size_t I, size_t N, const uint8_t *Lo,
                    const uint8_t *Hi) {
   static_assert(sizeof(T) <= 2, "no vector scan for 64-bit elements");
@@ -441,7 +449,8 @@ nibbleBlocksAvx512(const T *In, size_t I, size_t N, const uint8_t *Lo,
 /// loops nibbleScanner() hands to native code, then SSE2 (bytes) or SWAR
 /// pins down the span end.
 template <class T, NibbleScanFnOf<T> Blocks>
-size_t scanMaskNibble(const T *In, size_t I, size_t N, const RunKernel &RK) {
+EFC_HOT_ALIGN size_t scanMaskNibble(const T *In, size_t I, size_t N,
+                                    const RunKernel &RK) {
   if (RK.NT.Valid)
     I = Blocks(In, I, N, RK.NT.Lo.data(), RK.NT.Hi.data());
   if constexpr (sizeof(T) == 1)
@@ -454,7 +463,7 @@ size_t scanMaskNibble(const T *In, size_t I, size_t N, const RunKernel &RK) {
 /// against BOTH states' nibble tables, then require leg-1 membership at
 /// even positions and leg-2 at odd.  The stride is even, so blocks
 /// always start on a leg-1 element and the scalar tail does too.
-__attribute__((target("avx2"))) size_t
+EFC_HOT_ALIGN __attribute__((target("avx2"))) size_t
 scanAltAvx2(const uint8_t *In, size_t I, size_t N, const SpecPair &SP) {
   if (SP.NT1.Valid && SP.NT2.Valid) {
     const __m256i Lo1 = broadcast16(SP.NT1.Lo.data());
@@ -554,13 +563,14 @@ std::string efc::explainFastPath(const Bst &A) {
   S += Buf;
   const Type *ITy = A.inputType();
   unsigned IW = !ITy->isScalar() ? 0 : ITy->isBool() ? 1 : ITy->width();
-  unsigned TableStates = 0, AccelStates = 0;
+  unsigned TableStates = 0, AccelStates = 0, ResidualClasses = 0;
+  std::unordered_map<TermRef, bool> IOMemo;
   for (unsigned Q = 0, N = A.numStates(); Q < N; ++Q) {
     ByteClassTable C = classifyDeltaByteClasses(A, Q);
     if (!C.Eligible) {
       std::snprintf(Buf, sizeof Buf,
-                    "state %u: fallback (register-guarded or non-scalar "
-                    "input), bytecode only\n",
+                    "state %u: fallback (register-guarded root or "
+                    "non-scalar input), bytecode only\n",
                     Q);
       S += Buf;
       continue;
@@ -577,6 +587,23 @@ std::string efc::explainFastPath(const Bst &A) {
                   SelfLoop == 1 ? "" : "es", Runs.size(),
                   Runs.size() == 1 ? "" : "s");
     S += Buf;
+    // Residual classes: the walk stopped at a register guard, and the
+    // class runs the subtree below it as one branching program.
+    for (unsigned K = 0; K < C.numClasses(); ++K) {
+      if (!C.Leaves[K]->isIte())
+        continue;
+      ++ResidualClasses;
+      unsigned Bytes = 0;
+      for (unsigned B = 0; B < C.ValidBytes; ++B)
+        Bytes += C.Class[B] == K;
+      auto Prog = compileRuleProgram(A, C.Leaves[K], /*IsFinalizer=*/false);
+      std::snprintf(Buf, sizeof Buf,
+                    "  class %u: residual program, %zu instructions, %u "
+                    "byte%s\n",
+                    K, Prog ? Prog->Code.size() : size_t(0), Bytes,
+                    Bytes == 1 ? "" : "s");
+      S += Buf;
+    }
     if (!Runs.empty())
       ++AccelStates;
     for (const RunKernel &RK : Runs) {
@@ -633,7 +660,8 @@ std::string efc::explainFastPath(const Bst &A) {
         S += "    nibble: not encodable (> 8 bucket rows), SWAR fallback\n";
       }
     }
-    if (IW > 8 && IW <= 16) {
+    if (IW > 8 && IW <= 16 &&
+        guardsInputOnly(A.delta(Q).get(), A.inputVar(), IOMemo)) {
       std::snprintf(Buf, sizeof Buf,
                     "  wide tier: elements [256, %u) memoized at plan "
                     "build (EFC_FASTPATH_WIDE=0 disables)\n",
@@ -657,8 +685,10 @@ std::string efc::explainFastPath(const Bst &A) {
       }
   }
   std::snprintf(Buf, sizeof Buf,
-                "summary: %u/%u states tabulated, %u run-accelerated\n",
-                TableStates, A.numStates(), AccelStates);
+                "summary: %u/%u states tabulated, %u run-accelerated, %u "
+                "residual class%s\n",
+                TableStates, A.numStates(), AccelStates, ResidualClasses,
+                ResidualClasses == 1 ? "" : "es");
   S += Buf;
   return S;
 }
@@ -950,7 +980,8 @@ FastPathPlan FastPathPlan::build(const Bst &A, const CompiledTransducer &T,
 
     // Per-class action resolution: Undef -> Reject; leaves whose outputs
     // and changed register updates are input-only fold to per-byte Const
-    // (or Jump) actions; anything else gets one straight-line program
+    // (or Jump) actions; any other leaf, and every residual subtree (the
+    // classification stopped at a register guard), gets one program
     // shared by every byte of the class.
     struct ClassPlan {
       int FixedAction = -1; // Reject / Program / Fallback action id
@@ -969,27 +1000,29 @@ FastPathPlan FastPathPlan::build(const Bst &A, const CompiledTransducer &T,
         ST.Actions.push_back(std::move(Rej));
         continue;
       }
-      collectRegLeaves(Ctx, L->update(), Plan.NewLeaves);
-      assert(Plan.NewLeaves.size() == OldLeaves.size());
-      for (unsigned I = 0; I < OldLeaves.size(); ++I)
-        if (Plan.NewLeaves[I] != OldLeaves[I])
-          Plan.ChangedIdx.push_back(I);
+      if (L->isBase()) {
+        collectRegLeaves(Ctx, L->update(), Plan.NewLeaves);
+        assert(Plan.NewLeaves.size() == OldLeaves.size());
+        for (unsigned I = 0; I < OldLeaves.size(); ++I)
+          if (Plan.NewLeaves[I] != OldLeaves[I])
+            Plan.ChangedIdx.push_back(I);
 
-      bool Foldable = true;
-      for (TermRef O : L->outputs())
-        if (!inputOnly(O, X, IOMemo)) {
-          Foldable = false;
-          break;
-        }
-      if (Foldable)
-        for (unsigned I : Plan.ChangedIdx)
-          if (!inputOnly(Plan.NewLeaves[I], X, IOMemo)) {
+        bool Foldable = true;
+        for (TermRef O : L->outputs())
+          if (!inputOnly(O, X, IOMemo)) {
             Foldable = false;
             break;
           }
-      if (Foldable) {
-        Plan.ConstAble = true;
-        continue;
+        if (Foldable)
+          for (unsigned I : Plan.ChangedIdx)
+            if (!inputOnly(Plan.NewLeaves[I], X, IOMemo)) {
+              Foldable = false;
+              break;
+            }
+        if (Foldable) {
+          Plan.ConstAble = true;
+          continue;
+        }
       }
       unsigned MaxSlot = 0;
       auto Prog = compileRuleProgram(A, L, /*IsFinalizer=*/false, &MaxSlot);
@@ -1006,6 +1039,8 @@ FastPathPlan FastPathPlan::build(const Bst &A, const CompiledTransducer &T,
       PA.Code = std::move(*Prog);
       ST.Actions.push_back(std::move(PA));
       ++P.S.ProgramActions;
+      if (L->isIte())
+        ++P.S.ResidualActions;
     }
 
     // Per-byte dispatch: fold Const/Jump actions and dedup them so runs of
@@ -1084,8 +1119,11 @@ FastPathPlan FastPathPlan::build(const Bst &A, const CompiledTransducer &T,
     }
 
     // Wide-domain tier: elements a byte table cannot reach (UTF-16 and
-    // similar 9..16-bit alphabets) get per-element memoized actions.
-    if (Opts.WideTables && W > 8 && W <= 16)
+    // similar 9..16-bit alphabets) get per-element memoized actions.  It
+    // evaluates every guard on the element alone, so it needs a rule
+    // whose guards all read only the input.
+    if (Opts.WideTables && W > 8 && W <= 16 &&
+        guardsInputOnly(A.delta(Q).get(), X, IOMemo))
       buildWideTable(A, T, Q, ST, W, OldLeaves, IOMemo, P.S);
   }
 
@@ -1116,7 +1154,7 @@ inline void appendConsts(OutBuf &Out, const std::vector<uint64_t> &V) {
 } // namespace
 
 template <class InT, class OutBuf>
-bool FastPathCursor::feed(const InT *In, size_t N, OutBuf &Out) {
+EFC_HOT_ALIGN bool FastPathCursor::feed(const InT *In, size_t N, OutBuf &Out) {
   using OutT = typename OutBuf::value_type;
   // Bulk emit buffer: one reservation per chunk instead of a capacity
   // check per Emit (stages emit at most about one element per input).
@@ -1128,6 +1166,20 @@ bool FastPathCursor::feed(const InT *In, size_t N, OutBuf &Out) {
   const unsigned InSlot = T.NumRegSlots;
   unsigned State = Inner.State;
   const FastPathPlan::StateTable *Tables = Plan->States.data();
+  // Per-element ledger tiers, tallied in locals and added to RC once, on
+  // every way out of this feed.
+  struct Tally {
+    explicit Tally(RunCounters &RC) : RC(RC) {}
+    Tally(const Tally &) = delete;
+    Tally &operator=(const Tally &) = delete;
+    ~Tally() {
+      RC.TableElements += Table;
+      RC.ProgramElements += Program;
+      RC.BytecodeElements += Bytecode;
+    }
+    RunCounters &RC;
+    uint64_t Table = 0, Program = 0, Bytecode = 0;
+  } Ledger(RC);
 
   for (size_t I = 0; I < N; ++I) {
     const uint64_t X = In[I];
@@ -1233,19 +1285,25 @@ bool FastPathCursor::feed(const InT *In, size_t N, OutBuf &Out) {
       switch (A.K) {
       case FastPathPlan::Action::Kind::Jump:
         State = A.Target;
+        ++Ledger.Table;
         continue;
       case FastPathPlan::Action::Kind::Const:
         appendConsts(Out, A.Emits);
         for (auto [Slot, V] : A.Writes)
           Slots[Slot] = V;
         State = A.Target;
+        ++Ledger.Table;
         continue;
       case FastPathPlan::Action::Kind::Reject:
         Inner.State = State;
+        ++Ledger.Table;
         return false;
       case FastPathPlan::Action::Kind::Program:
+        // A leaf program or a residual subtree: it reads the input slot
+        // and may branch on registers, then commits through Next.
         Slots[InSlot] = X;
         Inner.State = State;
+        ++Ledger.Program;
         if (!Inner.exec(A.Code, Out))
           return false;
         State = Inner.State;
@@ -1255,6 +1313,7 @@ bool FastPathCursor::feed(const InT *In, size_t N, OutBuf &Out) {
       }
     }
     // Mixed-mode fallback: out-of-range element or bytecode-only state.
+    ++Ledger.Bytecode;
     Slots[InSlot] = X;
     Inner.State = State;
     if (!Inner.exec(T.Delta[State], Out))
@@ -1279,7 +1338,8 @@ EFC_CURSOR_FEEDS(uint64_t)
 
 void FastPathCursor::foldCounters() {
   struct Families {
-    metrics::Counter &Runs, &Elems, &Wide, &SpecRuns, &SpecElems;
+    metrics::Counter &Runs, &Elems, &Wide, &SpecRuns, &SpecElems, &Table,
+        &Program, &Bytecode;
   };
   auto &R = metrics::Registry::instance();
   static Families F{
@@ -1292,9 +1352,14 @@ void FastPathCursor::foldCounters() {
       R.counter("efc_fastpath_spec_runs_total",
                 "Alternating spans taken by two-state speculation"),
       R.counter("efc_fastpath_spec_elements_total",
-                "Elements consumed by two-state speculation")};
+                "Elements consumed by two-state speculation"),
+      R.counter("efc_fastpath_table_elements_total",
+                "Elements resolved by byte-table Const/Jump/Reject actions"),
+      R.counter("efc_fastpath_program_elements_total",
+                "Elements run through byte-table leaf or residual programs"),
+      R.counter(BytecodeCounterName, BytecodeCounterHelp)};
   // Unchanged counts skip the shared atomic: sessions fold once per
-  // feed, and most feeds move only some of the five.
+  // feed, and most feeds move only some of the eight.
   auto add = [](metrics::Counter &C, uint64_t Now, uint64_t Was) {
     if (Now != Was)
       C.inc(Now - Was);
@@ -1304,6 +1369,9 @@ void FastPathCursor::foldCounters() {
   add(F.Wide, RC.WideElements, Folded.WideElements);
   add(F.SpecRuns, RC.SpecRuns, Folded.SpecRuns);
   add(F.SpecElems, RC.SpecElements, Folded.SpecElements);
+  add(F.Table, RC.TableElements, Folded.TableElements);
+  add(F.Program, RC.ProgramElements, Folded.ProgramElements);
+  add(F.Bytecode, RC.BytecodeElements, Folded.BytecodeElements);
   Folded = RC;
 }
 

@@ -2,15 +2,19 @@
 ///
 /// \file
 /// A DFA-style execution engine layered over the bytecode VM.  For each
-/// control state whose guards depend only on the current input element (no
-/// register reads in any Ite condition), the transition rule is a pure
-/// function of the input byte, so it can be tabulated: a 256-entry
-/// byte -> action table, partitioned into equivalence classes (bytes that
-/// reach the same Base leaf), maps each byte directly to its effect
-/// (emit constants / register writes / next state) without re-walking the
-/// guard tree.  States whose guards read registers keep the existing
-/// bytecode program, so the engine is mixed-mode: the driver loop hits the
-/// table when it can and falls back to the interpreter when it must.
+/// control state whose root guard depends only on the current input
+/// element, the input-only guards at the top of its transition rule are a
+/// pure function of the input byte, so they can be evaluated ahead of
+/// time: a 256-entry byte -> action table, partitioned into equivalence
+/// classes (bytes that reach the same node where the walk stops), maps
+/// each byte directly to its effect (emit constants / register writes /
+/// next state) without re-walking those guards.  The walk stops at a
+/// Base or Undef leaf, or at the first guard that reads a register; such
+/// a class keeps the register-dependent residual subtree as a short
+/// branching program.  States whose root guard reads a register keep the
+/// existing bytecode program, so the engine is mixed-mode: the driver
+/// loop hits the table when it can and falls back to the interpreter when
+/// it must.
 ///
 /// Eligibility and exactness (see DESIGN.md "Mixed-mode fast path"):
 ///  - The input type must be scalar.  For width W, table entries cover
@@ -65,23 +69,27 @@ namespace efc {
 /// between the VM fast path and CppCodeGen, so the generated C++ lookup
 /// tables partition bytes exactly like the interpreter's action tables.
 struct ByteClassTable {
-  /// True when every guard in the state's rule tree references only the
-  /// input variable (and the input type is scalar).
+  /// True when the state's root guard references only the input variable
+  /// (or the rule has no guard) and the input type is scalar.
   bool Eligible = false;
   /// Number of in-range byte values: min(2^inputWidth, 256).  Entries at
   /// b >= ValidBytes hold the sentinel class numClasses().
   unsigned ValidBytes = 0;
   /// byte -> index into Leaves (or the sentinel for padded entries).
   std::array<uint16_t, 256> Class{};
-  /// Distinct Base/Undef leaves reached, in first-hit byte order.  Borrowed
-  /// from the Bst's rule trees; valid only while the Bst is alive.
+  /// Distinct nodes the per-byte walk stops at, in first-hit byte order:
+  /// a Base or Undef leaf, or the first Ite whose guard reads a register
+  /// (the root of a residual subtree).  Borrowed from the Bst's rule
+  /// trees; valid only while the Bst is alive.
   std::vector<const Rule *> Leaves;
 
   unsigned numClasses() const { return unsigned(Leaves.size()); }
 };
 
-/// Analyzes delta(Q) of \p A.  Returns an ineligible table when the input
-/// type is not scalar or some guard reads a register.
+/// Analyzes delta(Q) of \p A: walks the input-only guards for every byte
+/// and stops at the first guard that reads a register.  Returns an
+/// ineligible table when the input type is not scalar or the root guard
+/// reads a register.
 ByteClassTable classifyDeltaByteClasses(const Bst &A, unsigned Q);
 
 /// Two 16-byte shuffle tables encoding a 256-bit byte set (the
@@ -128,9 +136,10 @@ struct RunKernel {
   /// ConstAppend payload: constants emitted for each consumed element.
   std::vector<uint64_t> Emits;
   /// Constant register writes (slot <- imm).  Every element of the span
-  /// performs these same writes, and no guard in a table state reads
-  /// registers, so applying them once per span is equivalent to once per
-  /// element — including across feed() boundaries (idempotent).
+  /// performs these same writes, and a kernel byte reaches its leaf
+  /// through input-only guards, so applying them once per span is
+  /// equivalent to once per element — including across feed() boundaries
+  /// (idempotent).
   std::vector<std::pair<uint16_t, uint64_t>> Writes;
   /// Number of bytes covered (popcount of Mask).
   unsigned Bytes = 0;
@@ -151,7 +160,8 @@ struct RunKernel {
 /// C++ accelerate exactly the same byte sets with the same effects; the
 /// criteria are syntactic on the Base leaves (target == Q, register
 /// update leaves unchanged, outputs empty / the input variable / all
-/// constants), never re-derived per backend.
+/// constants), never re-derived per backend.  Residual classes never
+/// form kernels.
 std::vector<RunKernel> classifyRunKernels(const Bst &A, unsigned Q,
                                           const ByteClassTable &C);
 
@@ -217,8 +227,9 @@ size_t scanAlternating(const T *In, size_t I, size_t N, const SpecPair &SP);
 
 /// Per-element action table for wide scalar inputs (8 < width <= 16,
 /// e.g. the UTF-16 HTML pipelines): the byte tables cover elements
-/// < 256, this covers [256, 2^W).  Same eligibility as the byte table
-/// (guards read only the input), same per-class action resolution, but
+/// < 256, this covers [256, 2^W).  Only for states whose guards all read
+/// only the input (no residual classes), same per-class action
+/// resolution as the byte table, but
 /// with the per-element constant effects memoized into shared pools at
 /// plan-build time, so the hot loop does two offset loads and a memcpy
 /// instead of re-walking the guard tree per element.  This is the
@@ -283,7 +294,8 @@ public:
     unsigned FallbackStates = 0; // states kept on bytecode only
     unsigned ConstActions = 0;   // fully-folded (emit consts, write consts)
     unsigned JumpActions = 0;    // state change only
-    unsigned ProgramActions = 0; // straight-line leaf programs
+    unsigned ProgramActions = 0; // leaf and residual programs
+    unsigned ResidualActions = 0; // of which residual (branching) programs
     unsigned AccelStates = 0;    // table states with >= 1 run kernel
     unsigned SkipKernels = 0;    // run kernels by kind
     unsigned CopyKernels = 0;
@@ -309,8 +321,9 @@ public:
       Reject,   // Undef leaf
       Jump,     // no emits, no register writes: just change state
       Const,    // emit constants, write constants, change state
-      Program   // straight-line bytecode for one leaf (register-reading
-                // outputs/updates under input-only guards)
+      Program   // bytecode for one class: a leaf with register-reading
+                // outputs/updates, or a residual subtree whose guards
+                // read registers; runs with the input slot set
     };
     Kind K = Kind::Fallback;
     uint32_t Target = 0;                               // Jump / Const
@@ -378,9 +391,11 @@ private:
 /// CompiledTransducer::Cursor fed one element at a time.
 class FastPathCursor {
 public:
-  /// Cumulative run-acceleration telemetry (spans driven through kernels
-  /// and the elements they consumed); surfaced by StreamSession /
-  /// efc-serve --stats.
+  /// Cumulative execution ledger: every element fed is counted once, by
+  /// the tier that consumed it (run kernel, spec pair, wide table, table
+  /// Const/Jump, table Program, bytecode), so the six element counts sum
+  /// to the elements fed; plus the spans the run kernels and spec pairs
+  /// took.  Surfaced by StreamSession / efcc --stats / efc-serve --stats.
   struct RunCounters {
     uint64_t Runs = 0;
     uint64_t RunElements = 0;
@@ -390,7 +405,22 @@ public:
     /// Speculative alternating spans taken, and elements they consumed.
     uint64_t SpecRuns = 0;
     uint64_t SpecElements = 0;
+    /// Byte-table Const, Jump and Reject actions.
+    uint64_t TableElements = 0;
+    /// Byte-table Program actions, residual programs included.
+    uint64_t ProgramElements = 0;
+    /// The state's whole bytecode program: states without a table,
+    /// padding bytes, elements beyond every table.
+    uint64_t BytecodeElements = 0;
   };
+
+  /// Registry name and help of the bytecode tier's counter, which VM
+  /// sessions (runtime/StreamSession.h) bump for every element they run.
+  static constexpr const char *BytecodeCounterName =
+      "efc_fastpath_bytecode_elements_total";
+  static constexpr const char *BytecodeCounterHelp =
+      "Elements run through a state's whole bytecode program (fast-path "
+      "fallback and VM sessions)";
 
   FastPathCursor(const FastPathPlan &P, const CompiledTransducer &T)
       : Plan(&P), Inner(T) {}
@@ -420,6 +450,8 @@ public:
   /// Adds the counts gathered since the last fold to the registry's
   /// efc_fastpath_* counters.  Callers fold once per feed or run, never
   /// per span, so the kernel loop stays free of shared-state traffic.
+  /// feed() itself tallies the per-element tiers in locals and adds them
+  /// to runCounters() once, when it returns.
   void foldCounters();
 
 private:

@@ -103,6 +103,14 @@ runNarrowed(ElemWidth InW, ElemWidth OutW, std::span<const uint64_t> In,
   });
 }
 
+/// Aligns a hot execution function (the interpreter, the fast-path driver
+/// loop, the block scanners) to a 64-byte boundary, so where its loops
+/// fall within cache lines and fetch blocks does not depend on how much
+/// code the linker happens to place before it.
+#define EFC_HOT_ALIGN __attribute__((aligned(64)))
+
+/// The opcodes, in the order of the interpreter's handler table
+/// (Vm.cpp Cursor::exec).
 enum class VmOp : uint8_t {
   Const,   // dst = imm
   Mov,     // dst = a
@@ -148,68 +156,6 @@ struct VmInstr {
 struct VmProgram {
   std::vector<VmInstr> Code;
 };
-
-/// Evaluates one pure (non-control, non-effect) instruction against the
-/// slot array \p S and returns the destination value; Cursor::exec stores
-/// it in the destination slot.  \p I.Op must be one of Const..Select.
-inline uint64_t evalVmPureOp(const VmInstr &I, const uint64_t *S) {
-  switch (I.Op) {
-  case VmOp::Const:
-    return I.Imm;
-  case VmOp::Mov:
-    return S[I.A];
-  case VmOp::Add:
-    return maskTo(I.Width, S[I.A] + S[I.B]);
-  case VmOp::Sub:
-    return maskTo(I.Width, S[I.A] - S[I.B]);
-  case VmOp::Mul:
-    return maskTo(I.Width, S[I.A] * S[I.B]);
-  case VmOp::UDiv:
-    return S[I.B] ? S[I.A] / S[I.B] : maskTo(I.Width, ~uint64_t(0));
-  case VmOp::URem:
-    return S[I.B] ? S[I.A] % S[I.B] : S[I.A];
-  case VmOp::Neg:
-    return maskTo(I.Width, ~S[I.A] + 1);
-  case VmOp::And:
-    return S[I.A] & S[I.B];
-  case VmOp::Or:
-    return S[I.A] | S[I.B];
-  case VmOp::Xor:
-    return S[I.A] ^ S[I.B];
-  case VmOp::NotBits:
-    return maskTo(I.Width, ~S[I.A]);
-  case VmOp::NotBool:
-    return S[I.A] ^ 1;
-  case VmOp::Shl:
-    return S[I.B] >= I.Width ? 0 : maskTo(I.Width, S[I.A] << S[I.B]);
-  case VmOp::LShr:
-    return S[I.B] >= I.Width ? 0 : S[I.A] >> S[I.B];
-  case VmOp::AShr: {
-    int64_t V = toSigned(I.Width, S[I.A]);
-    uint64_t Sh = S[I.B];
-    return maskTo(I.Width,
-                  Sh >= I.Width ? uint64_t(V < 0 ? -1 : 0) : uint64_t(V >> Sh));
-  }
-  case VmOp::Eq:
-    return S[I.A] == S[I.B];
-  case VmOp::Ult:
-    return S[I.A] < S[I.B];
-  case VmOp::Ule:
-    return S[I.A] <= S[I.B];
-  case VmOp::Slt:
-    return uint64_t(toSigned(I.Width, S[I.A]) < toSigned(I.Width, S[I.B]));
-  case VmOp::Sle:
-    return uint64_t(toSigned(I.Width, S[I.A]) <= toSigned(I.Width, S[I.B]));
-  case VmOp::SExt:
-    return maskTo(uint8_t(I.Imm), uint64_t(toSigned(I.Width, S[I.A])));
-  case VmOp::Extract:
-    return maskTo(I.Width, S[I.A] >> I.Imm);
-  case VmOp::Select:
-    return S[I.A] ? S[I.B] : S[I.C];
-  default:
-    return 0; // control/effect ops never reach here
-  }
-}
 
 /// Human-readable mnemonic for a VM opcode.
 const char *vmOpName(VmOp Op);
@@ -292,7 +238,9 @@ public:
     unsigned State = 0;
     std::vector<uint64_t> Slots;
 
-    /// Instantiated for the three ElemBuf types.
+    /// Runs \p P from its first instruction until Next, Accept or Reject;
+    /// the caller has set the input slot.  Instantiated for the three
+    /// ElemBuf types.
     template <class OutBuf> bool exec(const VmProgram &P, OutBuf &Out);
   };
 

@@ -14,6 +14,7 @@
 #include "common/RandomBst.h"
 #include "fusion/Fusion.h"
 #include "rbbe/Rbbe.h"
+#include "runtime/PipelineCache.h"
 #include "stdlib/Transducers.h"
 #include "stdlib/Values.h"
 #include "support/Stopwatch.h"
@@ -21,6 +22,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -204,6 +206,57 @@ TEST_F(CodeGenTest, NibblePipelineEmitsEachStateOnce) {
   EXPECT_EQ(Src.find("EFC_SIMD"), std::string::npos);
   EXPECT_EQ(Src.find("target("), std::string::npos);
   EXPECT_EQ(compileAndRun(Src, "html_once", "-Wall -Wextra -Werror"), 0);
+}
+
+TEST_F(CodeGenTest, EchoUnitStateBodiesAreTheirSwitchesAlone) {
+  // serve_warm's echo spec, fused as served (no RBBE).  Every state's
+  // root guard reads only the input, so every state gets a byte table;
+  // its decimal formatter's register chain lives in residual switch
+  // arms.  A byte table of all 256 bytes leaves the guard chain behind
+  // the switch unreachable, so each S<q> body is its switch alone.
+  std::string Err;
+  auto Spec = runtime::PipelineSpec::parse(
+      "frontend=regex\npattern=(?:(?<v>\\d+)|\\n)*\nagg=none\n"
+      "format=lines\n",
+      &Err);
+  ASSERT_TRUE(Spec) << Err;
+  auto Stages = runtime::assembleStages(*Spec, Ctx, &Err);
+  ASSERT_TRUE(Stages) << Err;
+  std::vector<const Bst *> Ptrs;
+  for (const Bst &St : *Stages)
+    Ptrs.push_back(&St);
+  Solver S(Ctx);
+  Bst Echo = fuseChain(Ptrs, S, {});
+
+  CodeGenOptions Opts;
+  Opts.FunctionName = "echo";
+  Opts.EmitMain = true;
+  std::string Src = generateCpp(
+      Echo, Opts,
+      {vectorFor(Echo, lib::valuesFromBytes("12\n\n34567\n0\n")),
+       vectorFor(Echo, lib::valuesFromBytes("18446744073709551615\nx"))});
+  size_t End = Src.find("\n}\n", Src.find("\nS0:\n"));
+  for (unsigned Q = 0; Q < Echo.numStates(); ++Q) {
+    size_t Begin = Src.find("\nS" + std::to_string(Q) + ":\n");
+    ASSERT_NE(Begin, std::string::npos) << "S" << Q;
+    size_t Next = Src.find("\nS" + std::to_string(Q + 1) + ":\n");
+    std::string Body = Src.substr(Begin, std::min(Next, End) - Begin);
+    auto Count = [&](const std::string &Needle) {
+      size_t N = 0;
+      for (size_t P = Body.find(Needle); P != std::string::npos;
+           P = Body.find(Needle, P + 1))
+        ++N;
+      return N;
+    };
+    EXPECT_EQ(Count("switch (echo_cls" + std::to_string(Q) + "[x])"), 1u)
+        << "S" << Q << ":\n" << Body.substr(0, 2000);
+    // One top-level block: the table's.  A guard chain would open a
+    // second.
+    EXPECT_EQ(Count("\n  {\n"), 1u) << "S" << Q << ":\n"
+                                     << Body.substr(0, 2000);
+    EXPECT_EQ(Count("default: break;"), 0u) << "S" << Q;
+  }
+  EXPECT_EQ(compileAndRun(Src, "echo_tables", "-Wall -Wextra -Werror"), 0);
 }
 
 TEST_F(CodeGenTest, WindowedAverageCompilesAndChecks) {

@@ -136,7 +136,10 @@ TEST(CliToolTest, MetricsDumpOnStderr) {
        {"# TYPE efc_solver_checks_total counter", "efc_solver_implied_total",
         "efc_fusion_runs_total", "efc_rbbe_runs_total 1",
         "efc_cache_builds_total 1", "efc_fastpath_runs_total",
-        "efc_fastpath_spec_runs_total", "efc_fastpath_wide_elements_total"})
+        "efc_fastpath_spec_runs_total", "efc_fastpath_wide_elements_total",
+        "efc_fastpath_table_elements_total",
+        "efc_fastpath_program_elements_total",
+        "efc_fastpath_bytecode_elements_total"})
     EXPECT_NE(Err.find(Family), std::string::npos)
         << "missing from --metrics dump: " << Family << "\n" << Err;
   // --run output stays machine-clean: the dump must not be on stdout.
@@ -147,6 +150,40 @@ TEST(CliToolTest, MetricsDumpOnStderr) {
              Csv + " --metrics",
          Out);
   EXPECT_EQ(Out, "99");
+}
+
+TEST(CliToolTest, StatsPrintsLedgerSummingToInput) {
+  if (!efccAvailable())
+    GTEST_SKIP();
+  std::string Csv = tempFile("efcc_ledger_in.csv");
+  {
+    std::ofstream F(Csv);
+    F << "a,17,x\nb,99,y\n";
+  }
+  for (const char *Backend : {"fastpath", "vm"}) {
+    std::string Err;
+    int Rc = runCmdErr(efccPath() +
+                           " --regex '(?:(?:[^,\\n]*,){1}(?<v>\\d+),"
+                           "[^\\n]*\\n)*' --agg max --format decimal "
+                           "--backend " +
+                           Backend + " --run " + Csv + " --stats",
+                       Err);
+    EXPECT_EQ(Rc, 0) << Err;
+    size_t At = Err.find("efcc: ledger: 14 elements: ");
+    ASSERT_NE(At, std::string::npos) << Backend << "\n" << Err;
+    unsigned long long N[6];
+    ASSERT_EQ(sscanf(Err.c_str() + At,
+                     "efcc: ledger: 14 elements: %llu run-kernel, %llu "
+                     "spec-pair, %llu wide, %llu table, %llu program, %llu "
+                     "bytecode",
+                     &N[0], &N[1], &N[2], &N[3], &N[4], &N[5]),
+              6)
+        << Err;
+    EXPECT_EQ(N[0] + N[1] + N[2] + N[3] + N[4] + N[5], 14u) << Err;
+    if (std::string(Backend) == "vm") {
+      EXPECT_EQ(N[5], 14u) << "a VM run counts every element as bytecode";
+    }
+  }
 }
 
 TEST(CliToolTest, TraceEmitsCompileSpanTree) {

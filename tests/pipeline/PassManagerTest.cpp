@@ -127,7 +127,7 @@ TEST_P(GoldenPipeline, MatchesPreRefactorSequence) {
   ASSERT_FALSE(P.PassRuns.empty());
   for (const pipeline::PassRun &R : P.PassRuns)
     if (R.PassName == "rbbe")
-      EXPECT_EQ(R.OutHash, classifierHash(*P.Fused));
+      EXPECT_EQ(R.OutHash, irHash(*P.Fused));
 
   auto Want = CompiledTransducer::compile(Clean);
   ASSERT_TRUE(Want.has_value());

@@ -28,6 +28,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 
 using namespace efc;
@@ -341,6 +342,117 @@ TEST_F(EquivCheckerTest, RefutesCorruptedWideTarget) {
   EXPECT_EQ(R.Status, CertStatus::Refuted) << R.summary();
   ASSERT_FALSE(R.Counterexamples.empty());
   EXPECT_EQ(R.Counterexamples.front().Part, "wide");
+}
+
+//===----------------------------------------------------------------------===//
+// Residual programs: byte classes whose walk stopped at a register guard
+// run the subtree below it as one branching program, certified byte by
+// byte against the bytecode paths that byte can take.
+//===----------------------------------------------------------------------===//
+
+/// State 0's root guard reads only the input; for bytes < 0x80 a register
+/// guard heads a subtree that tests the input again, emits, updates r and
+/// rejects when r > 0x40.  'L' moves to state 1, which loads the next
+/// byte into r, so a witness (byte b, register r) replays as "L r b".
+Bst makeRegisterGuarded(TermContext &Ctx) {
+  Bst A(Ctx, Ctx.bv(8), Ctx.bv(8), Ctx.bv(8), 2, 0, Value::bv(8, 0));
+  TermRef X = A.inputVar(), R = A.regVar();
+  auto K = [&](uint64_t V) { return Ctx.bvConst(8, V); };
+  A.setDelta(
+      0,
+      Rule::ite(
+          Ctx.mkEq(X, K('L')), Rule::base({}, 1, R),
+          Rule::ite(
+              Ctx.mkUlt(X, K(0x80)),
+              Rule::ite(Ctx.mkUlt(R, K(0x40)),
+                        Rule::ite(Ctx.mkEq(X, K('a')),
+                                  Rule::base({R}, 0, Ctx.mkAdd(R, K(1))),
+                                  Rule::base({X, R}, 0, Ctx.mkAdd(R, X))),
+                        Rule::ite(Ctx.mkEq(R, K(0x40)),
+                                  Rule::base({K('!')}, 0, K(0)),
+                                  Rule::undef())),
+              Rule::base({X}, 0, R))));
+  A.setDelta(1, Rule::base({}, 0, X));
+  A.setFinalizer(0, Rule::base({R}, 0, R));
+  A.setFinalizer(1, Rule::base({R}, 1, R));
+  return A;
+}
+
+class ResidualCertTest : public EquivCheckerTest {
+protected:
+  /// The residual program of state 0, which every byte < 0x80 but 'L'
+  /// dispatches to.
+  static VmProgram &residual(Built &B) {
+    FastPathPlan::StateTable &ST = B.Plan.mutableStateTable(0);
+    FastPathPlan::Action &Act = ST.Actions[ST.Dispatch['0']];
+    EXPECT_EQ(Act.K, FastPathPlan::Action::Kind::Program);
+    return Act.Code;
+  }
+
+  /// Certifies the mutated plan and replays its first counterexample as
+  /// "L r b" on the mutated fast path and on the intact bytecode: the two
+  /// must visibly diverge.
+  void expectRefutedAndReplayDiverges(const Bst &A, Built &B) {
+    CertReport R = certifyPipeline(A, B.T, &B.Plan);
+    EXPECT_EQ(R.Status, CertStatus::Refuted) << R.summary();
+    ASSERT_FALSE(R.Counterexamples.empty());
+    const Counterexample &CE = R.Counterexamples.front();
+    EXPECT_EQ(CE.Part, "table") << CE.str();
+    EXPECT_EQ(CE.State, 0u);
+    ASSERT_TRUE(CE.HasInput);
+    ASSERT_EQ(CE.Regs.size(), 1u) << CE.str();
+    ASSERT_LT(CE.Input, 0x80u) << CE.str();
+    const uint8_t In[] = {'L', uint8_t(CE.Regs[0]), uint8_t(CE.Input)};
+    CompiledTransducer::Cursor Vm(B.T);
+    FastPathCursor Fast(B.Plan, B.T);
+    std::string VmOut, FastOut;
+    bool VmOk = true;
+    for (uint8_t E : In)
+      VmOk = VmOk && Vm.feed(E, VmOut);
+    bool FastOk = Fast.feed(In, 3, FastOut);
+    VmOk = VmOk && Vm.finish(VmOut);
+    FastOk = FastOk && Fast.finish(FastOut);
+    EXPECT_TRUE(VmOk != FastOk || VmOut != FastOut)
+        << "counterexample " << CE.str() << " must replay as a divergence";
+  }
+};
+
+TEST_F(ResidualCertTest, CertifiesResidualPrograms) {
+  Bst A = makeRegisterGuarded(Ctx);
+  Built B = buildFor(A);
+  ASSERT_EQ(B.Plan.stats().ResidualActions, 1u);
+  CertReport R = certifyPipeline(A, B.T, &B.Plan);
+  EXPECT_EQ(R.Status, CertStatus::Certified) << R.summary();
+  EXPECT_EQ(R.StatesCertified, 2u);
+}
+
+// Mutation 7: retarget the residual program's register-guard jump to the
+// instruction after it, so both outcomes run the then-arm.  For r >= 0x40
+// the program now accepts where the bytecode rejects or emits '!'.
+TEST_F(ResidualCertTest, RefutesCorruptedResidualJump) {
+  Bst A = makeRegisterGuarded(Ctx);
+  Built B = buildFor(A);
+  VmProgram &P = residual(B);
+  auto Jz = std::find_if(P.Code.begin(), P.Code.end(),
+                         [](const VmInstr &I) { return I.Op == VmOp::Jz; });
+  ASSERT_NE(Jz, P.Code.end()) << disassemble(P);
+  Jz->Imm = uint64_t(Jz - P.Code.begin()) + 1;
+  expectRefutedAndReplayDiverges(A, B);
+}
+
+// Mutation 8: point an Emit of the residual program at the register slot
+// instead of the input slot.  It emits r where the bytecode emits x.
+TEST_F(ResidualCertTest, RefutesCorruptedResidualEmit) {
+  Bst A = makeRegisterGuarded(Ctx);
+  Built B = buildFor(A);
+  VmProgram &P = residual(B);
+  const uint16_t InSlot = uint16_t(B.T.numRegSlots());
+  auto Emit = std::find_if(P.Code.begin(), P.Code.end(), [&](const VmInstr &I) {
+    return I.Op == VmOp::Emit && I.A == InSlot;
+  });
+  ASSERT_NE(Emit, P.Code.end()) << disassemble(P);
+  Emit->A = 0;
+  expectRefutedAndReplayDiverges(A, B);
 }
 
 // Satellite 3: a zero budget means "no time at all" — every state

@@ -16,6 +16,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 using namespace efc;
 
 namespace {
@@ -73,6 +75,111 @@ TEST_F(FastPathTest, ClassifyPartitionsBytesByLeaf) {
 
   ByteClassTable C1 = classifyDeltaByteClasses(A, 1);
   EXPECT_FALSE(C1.Eligible) << "register-reading guard must be ineligible";
+}
+
+/// 3 states over bv(8) with an 8-bit register r.  State 0's root guard
+/// reads only the input; below it, for bytes < 0x80, a register guard
+/// (r < 0x40) heads a subtree that tests the input again, updates r from
+/// both, and rejects when r > 0x40: the shape fusion leaves where a
+/// decimal formatter's register chain sits under input guards.  'L' moves
+/// to state 1, which loads the next byte into r, so every register value
+/// is two input bytes away.
+Bst makeResidual(TermContext &Ctx) {
+  Bst A(Ctx, Ctx.bv(8), Ctx.bv(8), Ctx.bv(8), 3, 0, Value::bv(8, 0));
+  TermRef X = A.inputVar(), R = A.regVar();
+  auto K = [&](uint64_t V) { return Ctx.bvConst(8, V); };
+  A.setDelta(
+      0,
+      Rule::ite(
+          Ctx.mkEq(X, K('L')), Rule::base({}, 1, R),
+          Rule::ite(
+              Ctx.mkUlt(X, K(0x80)),
+              Rule::ite(Ctx.mkUlt(R, K(0x40)),
+                        Rule::ite(Ctx.mkEq(X, K('a')),
+                                  Rule::base({R}, 2, Ctx.mkAdd(R, K(1))),
+                                  Rule::base({X, R}, 0, Ctx.mkAdd(R, X))),
+                        Rule::ite(Ctx.mkEq(R, K(0x40)),
+                                  Rule::base({K('!')}, 0, K(0)),
+                                  Rule::undef())),
+              Rule::base({Ctx.mkBvXor(X, R)}, 0, X))));
+  A.setDelta(1, Rule::base({}, 0, X));
+  A.setDelta(2, Rule::ite(Ctx.mkEq(X, K('z')), Rule::base({}, 0, R),
+                          Rule::base({X}, 2, R)));
+  for (unsigned Q = 0; Q < 3; ++Q)
+    A.setFinalizer(Q, Rule::base({R}, Q, R));
+  return A;
+}
+
+TEST_F(FastPathTest, RegisterGuardedSubtreeBecomesResidualClass) {
+  Bst A = makeResidual(Ctx);
+  ByteClassTable C = classifyDeltaByteClasses(A, 0);
+  ASSERT_TRUE(C.Eligible) << "the root guard reads only the input";
+  ASSERT_EQ(C.numClasses(), 3u);
+  const Rule *Residual = C.Leaves[C.Class['a']];
+  EXPECT_TRUE(Residual->isIte()) << "the walk stops at the register guard";
+  EXPECT_EQ(C.Leaves[C.Class['0']], Residual);
+  EXPECT_NE(C.Class['L'], C.Class['a']);
+  EXPECT_NE(C.Class[0x80], C.Class['a']);
+  EXPECT_TRUE(classifyRunKernels(A, 0, C).empty())
+      << "a residual class never forms a run kernel";
+
+  auto T = CompiledTransducer::compile(A);
+  ASSERT_TRUE(T.has_value());
+  FastPathPlan P = FastPathPlan::build(A, *T);
+  ASSERT_TRUE(P.stateHasTable(0));
+  EXPECT_EQ(P.stats().TableStates, 3u);
+  EXPECT_EQ(P.stats().ResidualActions, 1u);
+  const FastPathPlan::StateTable &ST = P.stateTable(0);
+  const FastPathPlan::Action &Act = ST.Actions[ST.Dispatch['a']];
+  ASSERT_EQ(Act.K, FastPathPlan::Action::Kind::Program);
+  EXPECT_TRUE(std::any_of(Act.Code.Code.begin(), Act.Code.Code.end(),
+                          [](const VmInstr &I) { return I.Op == VmOp::Jz; }))
+      << "a residual program branches:\n" << disassemble(Act.Code);
+  EXPECT_NE(explainFastPath(A).find("residual program"), std::string::npos);
+}
+
+TEST_F(FastPathTest, ResidualProgramsMatchVmForEveryByteAndRegister) {
+  Bst A = makeResidual(Ctx);
+  auto T = CompiledTransducer::compile(A);
+  ASSERT_TRUE(T.has_value());
+  FastPathPlan P = FastPathPlan::build(A, *T);
+  ASSERT_EQ(P.stats().ResidualActions, 1u);
+  uint64_t ProgramElems = 0;
+  for (unsigned V = 0; V < 256; ++V)
+    for (unsigned B = 0; B < 256; ++B) {
+      // 'L' then V loads r = V in state 0; B then meets the residual.
+      const uint8_t In[] = {'L', uint8_t(V), uint8_t(B)};
+      CompiledTransducer::Cursor Vm(*T);
+      std::string VmOut;
+      bool VmOk = true;
+      for (uint8_t E : In)
+        VmOk = VmOk && Vm.feed(E, VmOut);
+      for (size_t Step : {size_t(3), size_t(1)}) {
+        FastPathCursor F(P, *T);
+        std::string Out;
+        bool Ok = true;
+        for (size_t I = 0; I < 3 && Ok; I += Step)
+          Ok = F.feed(In + I, Step, Out);
+        ASSERT_EQ(Ok, VmOk) << "r=" << V << " byte=" << B << " step=" << Step;
+        ASSERT_EQ(Out, VmOut) << "r=" << V << " byte=" << B;
+        if (!Ok)
+          continue;
+        ASSERT_EQ(F.state(), Vm.state()) << "r=" << V << " byte=" << B;
+        // The finalizer emits r: the registers agree too.
+        CompiledTransducer::Cursor VmEnd = Vm;
+        std::string VmFin = VmOut;
+        ASSERT_TRUE(VmEnd.finish(VmFin));
+        ASSERT_TRUE(F.finish(Out));
+        ASSERT_EQ(Out, VmFin) << "r=" << V << " byte=" << B;
+        const FastPathCursor::RunCounters &L = F.runCounters();
+        EXPECT_EQ(L.RunElements + L.SpecElements + L.WideElements +
+                      L.TableElements + L.ProgramElements +
+                      L.BytecodeElements,
+                  3u);
+        ProgramElems += L.ProgramElements;
+      }
+    }
+  EXPECT_GT(ProgramElems, 0u);
 }
 
 TEST_F(FastPathTest, NarrowWidthPadsWithSentinel) {

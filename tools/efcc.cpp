@@ -41,13 +41,16 @@
 //                               artifact cache when warm (EFC_CACHE_DIR)
 //   --native         alias for --backend native
 //   --emit-cpp FILE  write generated C++ to FILE
-//   --stats          print pipeline statistics to stderr
+//   --stats          print pipeline statistics to stderr; with --run,
+//                    also the execution ledger: how many input elements
+//                    each tier consumed
 //   --metrics        print the process-wide metrics registry (Prometheus
 //                    text format, support/Metrics.h) to stderr at exit
 //   --explain-fastpath
 //                    dump per-state byte-class tables to stdout:
-//                    eligible/fallback, class count, self-loop classes
-//                    and the run kernels chosen for them
+//                    eligible/fallback, class count, self-loop classes,
+//                    the run kernels chosen for them and the residual
+//                    classes with their program lengths
 //   --certify        prove backend equivalence for this pipeline
 //                    (verify/EquivChecker.h): bytecode vs fused rules,
 //                    fast-path tables vs bytecode, codegen classifier
@@ -368,9 +371,11 @@ int main(int argc, char **argv) {
         const FastPathPlan::Stats &FS = P->Fast->stats();
         fprintf(stderr,
                 "efcc: fast path: %u/%u states tabulated "
-                "(%u const, %u jump, %u program actions)\n",
+                "(%u const, %u jump, %u program actions, %u of them "
+                "residual)\n",
                 FS.TableStates, FS.TableStates + FS.FallbackStates,
-                FS.ConstActions, FS.JumpActions, FS.ProgramActions);
+                FS.ConstActions, FS.JumpActions, FS.ProgramActions,
+                FS.ResidualActions);
         fprintf(stderr,
                 "efcc: run accel: %u/%u states (%u skip, %u copy, "
                 "%u const-append kernels over %u bytes)\n",
@@ -393,6 +398,17 @@ int main(int argc, char **argv) {
       fprintf(stderr, "efcc: input rejected by the pipeline\n");
       return 1;
     }
+    if (Stats && S->backend() != StreamSession::Backend::Native)
+      fprintf(stderr,
+              "efcc: ledger: %zu elements: %llu run-kernel, %llu "
+              "spec-pair, %llu wide, %llu table, %llu program, %llu "
+              "bytecode\n",
+              Data.size(), (unsigned long long)S->fastRunElements(),
+              (unsigned long long)S->fastSpecElements(),
+              (unsigned long long)S->fastWideElements(),
+              (unsigned long long)S->fastTableElements(),
+              (unsigned long long)S->fastProgramElements(),
+              (unsigned long long)S->fastBytecodeElements());
     fwrite(S->output().data(), 1, S->output().size(), stdout);
   }
   if (Metrics) {
