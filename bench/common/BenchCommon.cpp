@@ -58,8 +58,8 @@ BuiltPipeline efc::bench::buildPipeline(const std::string &Name,
   PO.Rbbe.MaxPredicateNodes = 8000;
   PO.Rbbe.ConflictBudget = 0; // cheap procedures only: see DESIGN.md
   // EFC_FASTPATH_ACCEL=0 disables run kernels, EFC_FASTPATH_WIDE=0 the
-  // wide-domain tables, EFC_FASTPATH_SPEC=0 two-state speculation — the
-  // A/B switches for the EXPERIMENTS.md before/after tables.
+  // wide-domain tables — the A/B switches for the EXPERIMENTS.md
+  // before/after tables.
   PO.FastPath = FastPathOptions::fromEnv();
 
   std::string PErr;

@@ -4,9 +4,9 @@
 #
 #   1. Tier-1 verify (ROADMAP.md): configure, build, full ctest.
 #   2. Scalar-dispatch leg: the tier-1 label re-runs with EFC_SIMD=scalar,
-#      forcing every vectorized scanner (nibble shufti, run kernels,
-#      spec pairs) down to the portable paths — the SIMD kernels must be
-#      a pure optimization, never load-bearing.  Skippable with
+#      forcing every vectorized scanner (nibble shufti, run kernels) down
+#      to the portable paths — the SIMD kernels must be a pure
+#      optimization, never load-bearing.  Skippable with
 #      EFC_SKIP_SCALAR=1.
 #   3. EFC_VERIFY_IR leg: the tier-1 label re-runs with EFC_VERIFY_IR=1,
 #      so every compile in the suite checks the between-pass IR
@@ -65,7 +65,7 @@
 #      native artifact cache instead of re-invoking the host compiler).
 #  12. Backend-equivalence certification: `efc-verify` proves VM bytecode,
 #      fast-path tables/kernels/residual programs/nibble encodings/wide
-#      tables/spec pairs and the codegen classifier hash agree for every
+#      tables and the codegen classifier hash agree for every
 #      fig9/fig10/fig11/fig13 pipeline.  The step fails unless the summary
 #      reads 17 certified and 0 unverified: a refutation fails it, and so
 #      does a state left unverified (budget exhaustion, a path cap, an

@@ -46,15 +46,18 @@
 // metrics: CompiledPipeline::Par and PassContext::Par, which point to
 // this never-built plan and so are always null, and
 // StreamSession::parallelFeeds(), which StreamSession inherits from
-// SessionStub and which returns 0.  Delete this block, the two Par
-// members and StreamSession's base once the benchmark drops those
-// metrics.
+// SessionStub and which returns 0.  It also reads one name of the
+// removed two-state speculation tier to report vm.fast.<P>.spec_share:
+// StreamSession::fastSpecElements(), inherited from SessionStub, which
+// returns 0.  Delete this block, the two Par members and
+// StreamSession's base once the benchmark drops those metrics.
 namespace efc::parallel {
 struct ParallelPlan {
   bool eligible() const { return false; }
 };
 struct SessionStub {
   uint64_t parallelFeeds() const { return 0; }
+  uint64_t fastSpecElements() const { return 0; }
 };
 } // namespace efc::parallel
 

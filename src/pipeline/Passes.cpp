@@ -306,7 +306,6 @@ public:
     uint64_t H = FnvInit;
     H = fnv1a(H, O.FastPath.RunAccel);
     H = fnv1a(H, O.FastPath.WideTables);
-    H = fnv1a(H, O.FastPath.SpecAccel);
     return H;
   }
 
@@ -330,7 +329,6 @@ public:
     FpSp.note("accel_states", (uint64_t)FS.AccelStates);
     FpSp.note("nibble_kernels", (uint64_t)FS.NibbleKernels);
     FpSp.note("wide_states", (uint64_t)FS.WideStates);
-    FpSp.note("spec_pairs", (uint64_t)FS.SpecPairs);
     FpSp.note("simd_level", (uint64_t)simd::activeLevel());
     return true;
   }

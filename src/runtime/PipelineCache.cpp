@@ -240,7 +240,6 @@ struct CacheMetrics {
   metrics::Counter &PlanRunKernels;
   metrics::Counter &PlanNibbleKernels;
   metrics::Counter &PlanWideStates;
-  metrics::Counter &PlanSpecPairs;
   static CacheMetrics &get() {
     auto &R = metrics::Registry::instance();
     static CacheMetrics M{
@@ -264,9 +263,7 @@ struct CacheMetrics {
         R.counter("efc_fastpath_plan_nibble_kernels_total",
                   "Run kernels with a pshufb nibble encoding"),
         R.counter("efc_fastpath_plan_wide_states_total",
-                  "States with a wide-domain (width > 8) table"),
-        R.counter("efc_fastpath_plan_spec_pairs_total",
-                  "Two-state speculative alternating pairs")};
+                  "States with a wide-domain (width > 8) table")};
     // The scan-kernel ISA level is process-wide and fixed after the
     // first probe; expose it once so dashboards can correlate
     // throughput with the dispatched instruction set.
@@ -468,7 +465,6 @@ PipelineCache::get(const PipelineSpec &Spec, bool WantNative,
           FS.SkipKernels + FS.CopyKernels + FS.ConstAppendKernels;
       Counters.FastNibbleKernels += FS.NibbleKernels;
       Counters.FastWideStates += FS.WideStates;
-      Counters.FastSpecPairs += FS.SpecPairs;
       CacheMetrics &CM = CacheMetrics::get();
       CM.Builds.inc();
       CM.BuildSeconds.add(P->BuildSeconds);
@@ -478,7 +474,6 @@ PipelineCache::get(const PipelineSpec &Spec, bool WantNative,
                             FS.ConstAppendKernels);
       CM.PlanNibbleKernels.inc(FS.NibbleKernels);
       CM.PlanWideStates.inc(FS.WideStates);
-      CM.PlanSpecPairs.inc(FS.SpecPairs);
       CertifyMetrics &XM = CertifyMetrics::get();
       Counters.CertTimeouts += P->CertTimeouts;
       XM.Timeouts.inc(P->CertTimeouts);
@@ -565,7 +560,7 @@ std::string PipelineCache::Stats::str() const {
            "native_disk_hits=%llu native_compile_ms=%.1f "
            "fast_table_states=%llu fast_accel_states=%llu "
            "fast_run_kernels=%llu fast_nibble_kernels=%llu "
-           "fast_wide_states=%llu fast_spec_pairs=%llu "
+           "fast_wide_states=%llu "
            "cert_certified=%llu cert_unverified=%llu cert_refuted=%llu "
            "certify_timeouts=%llu",
            (unsigned long long)Hits, (unsigned long long)Misses,
@@ -579,7 +574,6 @@ std::string PipelineCache::Stats::str() const {
            (unsigned long long)FastRunKernels,
            (unsigned long long)FastNibbleKernels,
            (unsigned long long)FastWideStates,
-           (unsigned long long)FastSpecPairs,
            (unsigned long long)CertCertified,
            (unsigned long long)CertUnverified,
            (unsigned long long)CertRefuted,

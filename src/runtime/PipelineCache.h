@@ -171,7 +171,6 @@ public:
     uint64_t FastRunKernels = 0;
     uint64_t FastNibbleKernels = 0; ///< kernels with a shufti encoding
     uint64_t FastWideStates = 0;    ///< states with a wide-domain table
-    uint64_t FastSpecPairs = 0;     ///< speculative alternating pairs
     uint64_t CertCertified = 0;  ///< builds certified end-to-end
     uint64_t CertUnverified = 0; ///< builds degraded by budget/Unknown
     uint64_t CertRefuted = 0;    ///< builds rejected at admission

@@ -955,10 +955,6 @@ void Server::eraseSession(Shard &S, const std::string &Name) {
                                    std::memory_order_relaxed);
     S.Ct.FastWideElements.fetch_add(Sess.Stream->fastWideElements(),
                                     std::memory_order_relaxed);
-    S.Ct.FastSpecRuns.fetch_add(Sess.Stream->fastSpecRuns(),
-                                std::memory_order_relaxed);
-    S.Ct.FastSpecElements.fetch_add(Sess.Stream->fastSpecElements(),
-                                    std::memory_order_relaxed);
     S.Ct.FastTableElements.fetch_add(Sess.Stream->fastTableElements(),
                                      std::memory_order_relaxed);
     S.Ct.FastProgramElements.fetch_add(Sess.Stream->fastProgramElements(),
@@ -1156,8 +1152,7 @@ std::string Server::statsText() const {
   uint64_t Opened = 0, FramesIn = 0, Replies = 0, Errors = 0, Rejected = 0,
            Dropped = 0, BytesIn = 0, BytesOut = 0, Evicted = 0, Cross = 0,
            Accepts = 0, FastRuns = 0, FastRunElems = 0, FastWide = 0,
-           FastSpecRuns = 0, FastSpecElems = 0, FastTable = 0,
-           FastProgram = 0, FastBytecode = 0;
+           FastTable = 0, FastProgram = 0, FastBytecode = 0;
   int64_t Live = 0, Conns = 0;
   std::string PerShard;
   for (const auto &SP : Shards) {
@@ -1176,8 +1171,6 @@ std::string Server::statsText() const {
     FastRuns += Ct.FastRuns.load(std::memory_order_relaxed);
     FastRunElems += Ct.FastRunElements.load(std::memory_order_relaxed);
     FastWide += Ct.FastWideElements.load(std::memory_order_relaxed);
-    FastSpecRuns += Ct.FastSpecRuns.load(std::memory_order_relaxed);
-    FastSpecElems += Ct.FastSpecElements.load(std::memory_order_relaxed);
     FastTable += Ct.FastTableElements.load(std::memory_order_relaxed);
     FastProgram += Ct.FastProgramElements.load(std::memory_order_relaxed);
     FastBytecode += Ct.FastBytecodeElements.load(std::memory_order_relaxed);
@@ -1206,8 +1199,7 @@ std::string Server::statsText() const {
            "evicted=%llu cross_forwards=%llu accepts=%llu conns=%lld "
            "bytes_in=%llu "
            "bytes_out=%llu fast_runs=%llu fast_run_elems=%llu "
-           "fast_wide_elems=%llu fast_spec_runs=%llu "
-           "fast_spec_elems=%llu fast_table_elems=%llu "
+           "fast_wide_elems=%llu fast_table_elems=%llu "
            "fast_program_elems=%llu fast_bytecode_elems=%llu "
            "shards=%u backlog_cap=%zu tcp=%s",
            (unsigned long long)Opened, (long long)Live,
@@ -1218,9 +1210,7 @@ std::string Server::statsText() const {
            (long long)Conns, (unsigned long long)BytesIn,
            (unsigned long long)BytesOut, (unsigned long long)FastRuns,
            (unsigned long long)FastRunElems, (unsigned long long)FastWide,
-           (unsigned long long)FastSpecRuns,
-           (unsigned long long)FastSpecElems, (unsigned long long)FastTable,
-           (unsigned long long)FastProgram,
+           (unsigned long long)FastTable, (unsigned long long)FastProgram,
            (unsigned long long)FastBytecode, Opts.Shards,
            Opts.MaxConnBacklog,
            !Opts.Tcp          ? "off"

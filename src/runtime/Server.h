@@ -174,8 +174,6 @@ private:
     std::atomic<uint64_t> FastRuns{0};
     std::atomic<uint64_t> FastRunElements{0};
     std::atomic<uint64_t> FastWideElements{0};
-    std::atomic<uint64_t> FastSpecRuns{0};
-    std::atomic<uint64_t> FastSpecElements{0};
     std::atomic<uint64_t> FastTableElements{0};
     std::atomic<uint64_t> FastProgramElements{0};
     std::atomic<uint64_t> FastBytecodeElements{0};

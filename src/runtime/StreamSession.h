@@ -94,16 +94,9 @@ public:
   uint64_t fastRunElements() const {
     return FCur ? FCur->runCounters().RunElements : 0;
   }
-  /// Wide-domain table hits (elements >= 256 served from memo pools) and
-  /// two-state speculative alternating spans.
+  /// Wide-domain table hits (elements >= 256 served from memo pools).
   uint64_t fastWideElements() const {
     return FCur ? FCur->runCounters().WideElements : 0;
-  }
-  uint64_t fastSpecRuns() const {
-    return FCur ? FCur->runCounters().SpecRuns : 0;
-  }
-  uint64_t fastSpecElements() const {
-    return FCur ? FCur->runCounters().SpecElements : 0;
   }
   /// The rest of the execution ledger (vm/FastPath.h RunCounters):
   /// elements resolved by byte-table Const/Jump/Reject actions, run

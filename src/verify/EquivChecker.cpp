@@ -1451,89 +1451,6 @@ private:
     }
   }
 
-  /// Speculative pairs are justified purely against the (already
-  /// certified) dispatch tables: every byte of each leg mask must take
-  /// exactly the Const/Jump action the pair replays in bulk, so the
-  /// alternating scanner commits the same effects element-wise dispatch
-  /// would have.
-  void checkSpec(unsigned Q) {
-    if (!Plan || Q >= Plan->numStates())
-      return;
-    const FastPathPlan::StateTable &ST = Plan->stateTable(Q);
-    for (unsigned B = 0; B < 256; ++B) {
-      uint8_t Sp = ST.SpecId[B];
-      if (Sp == FastPathPlan::NoRun)
-        continue;
-      if (Sp >= ST.Specs.size() ||
-          !SpecPair::maskCovers(ST.Specs[Sp].M1, B)) {
-        refute(makeCe("spec", Q, false, {B},
-                      "spec dispatch map points outside its pair mask"));
-        return;
-      }
-    }
-    for (const SpecPair &SP : ST.Specs) {
-      if (SP.Other >= Plan->numStates() ||
-          !Plan->stateTable(SP.Other).HasTable || !ST.HasTable) {
-        refute(makeCe("spec", Q, false, {},
-                      "spec pair references a state without a table"));
-        return;
-      }
-      if (!checkSpecLeg(Q, Q, SP.Other, SP.M1, SP.NT1, SP.Emits1,
-                        SP.Writes1) ||
-          !checkSpecLeg(Q, SP.Other, Q, SP.M2, SP.NT2, SP.Emits2,
-                        SP.Writes2))
-        return;
-    }
-  }
-
-  /// One leg of a speculative pair: in state \p From, every byte of
-  /// \p M must dispatch to a Const/Jump action targeting \p To with
-  /// exactly \p Emits / \p Writes, and must not belong to a run kernel
-  /// (the driver's probe order would never reach the pair otherwise).
-  bool checkSpecLeg(unsigned Q, unsigned From, unsigned To,
-                    const std::array<uint64_t, 4> &M, const NibbleTable &NT,
-                    const std::vector<uint64_t> &Emits,
-                    const std::vector<std::pair<uint16_t, uint64_t>> &Writes) {
-    const FastPathPlan::StateTable &FT = Plan->stateTable(From);
-    for (unsigned B = 0; B < 256; ++B) {
-      if (NT.Valid && NT.contains(uint8_t(B)) != SpecPair::maskCovers(M, B)) {
-        refute(makeCe("spec", Q, false, {B},
-                      "spec nibble table disagrees with its leg mask"));
-        return false;
-      }
-      if (!SpecPair::maskCovers(M, B))
-        continue;
-      if (FT.RunId[B] != FastPathPlan::NoRun) {
-        refute(makeCe("spec", Q, false, {B},
-                      "spec leg byte is owned by a run kernel"));
-        return false;
-      }
-      if (FT.Dispatch[B] >= FT.Actions.size()) {
-        refute(makeCe("spec", Q, false, {B},
-                      "spec leg dispatch index out of range"));
-        return false;
-      }
-      const FastPathPlan::Action &Act = FT.Actions[FT.Dispatch[B]];
-      bool IsJump = Act.K == FastPathPlan::Action::Kind::Jump;
-      if ((!IsJump && Act.K != FastPathPlan::Action::Kind::Const) ||
-          Act.Target != To) {
-        refute(makeCe("spec", Q, false, {B},
-                      "spec leg byte is not a Const/Jump to the partner "
-                      "state"));
-        return false;
-      }
-      const std::vector<uint64_t> &WantE = IsJump ? EmptyEmits : Act.Emits;
-      const std::vector<std::pair<uint16_t, uint64_t>> &WantW =
-          IsJump ? EmptyWrites : Act.Writes;
-      if (WantE != Emits || WantW != Writes) {
-        refute(makeCe("spec", Q, false, {B},
-                      "spec leg effects disagree with the table action"));
-        return false;
-      }
-    }
-    return true;
-  }
-
   /// Wide-domain tables: a full differential sweep of [256, Limit)
   /// against the bytecode paths, using the plan builder's own
   /// memoized-bitmap discipline so the sweep stays within the state
@@ -1775,9 +1692,6 @@ private:
     }
   }
 
-  const std::vector<uint64_t> EmptyEmits;
-  const std::vector<std::pair<uint16_t, uint64_t>> EmptyWrites;
-
   //===------------------------------------------------------------------===//
   // Part 3: codegen classifier hash
   //===------------------------------------------------------------------===//
@@ -1874,8 +1788,6 @@ CertReport Checker::run() {
         checkProgram(Q, /*IsFinalizer=*/false, "bytecode", VPaths);
         if (StateStatus != CertStatus::Refuted)
           checkTable(Q, VPaths);
-        if (StateStatus != CertStatus::Refuted)
-          checkSpec(Q);
         if (StateStatus != CertStatus::Refuted)
           checkWide(Q, VPaths);
       }

@@ -86,7 +86,6 @@ FastPathOptions FastPathOptions::fromEnv() {
   FastPathOptions O;
   O.RunAccel = env::flag("EFC_FASTPATH_ACCEL", O.RunAccel);
   O.WideTables = env::flag("EFC_FASTPATH_WIDE", O.WideTables);
-  O.SpecAccel = env::flag("EFC_FASTPATH_SPEC", O.SpecAccel);
   return O;
 }
 
@@ -326,21 +325,6 @@ EFC_HOT_ALIGN size_t nibbleBlocksNone(const T *, size_t I, size_t,
   return I;
 }
 
-/// Scalar alternation: legs must strictly interleave M1,M2,M1,...
-/// starting on M1 at \p I.
-template <class T>
-EFC_HOT_ALIGN size_t scanAltScalar(const T *In, size_t I, size_t N,
-                                   const SpecPair &SP) {
-  for (;;) {
-    if (I >= N || !SpecPair::maskCovers(SP.M1, In[I]))
-      return I;
-    ++I;
-    if (I >= N || !SpecPair::maskCovers(SP.M2, In[I]))
-      return I;
-    ++I;
-  }
-}
-
 #if defined(__x86_64__)
 
 /// SSE2 (x86-64 baseline), byte streams: single-escape masks compare 16
@@ -459,40 +443,15 @@ EFC_HOT_ALIGN size_t scanMaskNibble(const T *In, size_t I, size_t N,
     return scanMaskScalar(In, I, N, RK);
 }
 
-/// AVX2 alternation over a byte stream: classify one 32-byte block
-/// against BOTH states' nibble tables, then require leg-1 membership at
-/// even positions and leg-2 at odd.  The stride is even, so blocks
-/// always start on a leg-1 element and the scalar tail does too.
-EFC_HOT_ALIGN __attribute__((target("avx2"))) size_t
-scanAltAvx2(const uint8_t *In, size_t I, size_t N, const SpecPair &SP) {
-  if (SP.NT1.Valid && SP.NT2.Valid) {
-    const __m256i Lo1 = broadcast16(SP.NT1.Lo.data());
-    const __m256i Hi1 = broadcast16(SP.NT1.Hi.data());
-    const __m256i Lo2 = broadcast16(SP.NT2.Lo.data());
-    const __m256i Hi2 = broadcast16(SP.NT2.Hi.data());
-    for (; I + 32 <= N; I += 32) {
-      __m256i B = _mm256_loadu_si256(reinterpret_cast<const __m256i *>(In + I));
-      if ((nibbleEscapes(B, Lo1, Hi1) & 0x55555555u) |
-          (nibbleEscapes(B, Lo2, Hi2) & 0xAAAAAAAAu))
-        break;
-    }
-  }
-  return scanAltScalar(In, I, N, SP);
-}
-
 #endif // __x86_64__
 
 template <class T>
 using ScanFn = size_t (*)(const T *, size_t, size_t, const RunKernel &);
-template <class T>
-using AltFn = size_t (*)(const T *, size_t, size_t, const SpecPair &);
 
 /// Per-level kernels of one element type, indexed by simd::Level.
 template <class T> struct Kernels {
   static constexpr ScanFn<T> Scan[4] = {scanMaskScalar<T>, scanMaskScalar<T>,
                                         scanMaskScalar<T>, scanMaskScalar<T>};
-  static constexpr AltFn<T> Alt[4] = {scanAltScalar<T>, scanAltScalar<T>,
-                                      scanAltScalar<T>, scanAltScalar<T>};
   static constexpr NibbleScanFnOf<T> Nibble[4] = {
       nibbleBlocksNone<T>, nibbleBlocksNone<T>, nibbleBlocksNone<T>,
       nibbleBlocksNone<T>};
@@ -505,8 +464,6 @@ template <> struct Kernels<uint8_t> {
       scanMaskScalar<T>, scanMaskSse2,
       scanMaskNibble<T, nibbleBlocksAvx2<T>>,
       scanMaskNibble<T, nibbleBlocksAvx512<T>>};
-  static constexpr AltFn<T> Alt[4] = {scanAltScalar<T>, scanAltScalar<T>,
-                                      scanAltAvx2, scanAltAvx2};
   static constexpr NibbleScanFnOf<T> Nibble[4] = {
       nibbleBlocksNone<T>, nibbleBlocksNone<T>, nibbleBlocksAvx2<T>,
       nibbleBlocksAvx512<T>};
@@ -518,8 +475,6 @@ template <> struct Kernels<uint16_t> {
       scanMaskScalar<T>, scanMaskScalar<T>,
       scanMaskNibble<T, nibbleBlocksAvx2<T>>,
       scanMaskNibble<T, nibbleBlocksAvx512<T>>};
-  static constexpr AltFn<T> Alt[4] = {scanAltScalar<T>, scanAltScalar<T>,
-                                      scanAltScalar<T>, scanAltScalar<T>};
   static constexpr NibbleScanFnOf<T> Nibble[4] = {
       nibbleBlocksNone<T>, nibbleBlocksNone<T>, nibbleBlocksAvx2<T>,
       nibbleBlocksAvx512<T>};
@@ -537,18 +492,10 @@ size_t efc::scanRunEnd(const T *In, size_t I, size_t N, const RunKernel &RK) {
   return Kernels<T>::Scan[int(simd::activeLevel())](In, I, N, RK);
 }
 
-template <class T>
-size_t efc::scanAlternating(const T *In, size_t I, size_t N,
-                            const SpecPair &SP) {
-  return Kernels<T>::Alt[int(simd::activeLevel())](In, I, N, SP);
-}
-
 #define EFC_SCANNERS(T)                                                        \
   template NibbleScanFnOf<T> efc::nibbleScanner<T>();                          \
   template size_t efc::scanRunEnd(const T *, size_t, size_t,                   \
-                                  const RunKernel &);                          \
-  template size_t efc::scanAlternating(const T *, size_t, size_t,              \
-                                       const SpecPair &);
+                                  const RunKernel &);
 EFC_SCANNERS(uint8_t)
 EFC_SCANNERS(uint16_t)
 EFC_SCANNERS(uint64_t)
@@ -668,21 +615,6 @@ std::string efc::explainFastPath(const Bst &A) {
                     1u << IW);
       S += Buf;
     }
-  }
-  // Spec pairs are detected across states on the built plan, not per
-  // state on the rule trees — build one to report them.
-  if (auto T = CompiledTransducer::compile(A)) {
-    FastPathPlan P = FastPathPlan::build(A, *T);
-    for (unsigned Q = 0; Q < P.numStates(); ++Q)
-      for (const SpecPair &SP : P.stateTable(Q).Specs) {
-        std::snprintf(Buf, sizeof Buf,
-                      "state %u: spec pair with state %u, %u/%u bytes "
-                      "per leg%s\n",
-                      Q, SP.Other, SP.Bytes1, SP.Bytes2,
-                      SP.NT1.Valid && SP.NT2.Valid ? ", nibble-encoded"
-                                                   : "");
-        S += Buf;
-      }
   }
   std::snprintf(Buf, sizeof Buf,
                 "summary: %u/%u states tabulated, %u run-accelerated, %u "
@@ -830,111 +762,6 @@ void buildWideTable(const Bst &A, const CompiledTransducer &T, unsigned Q,
   ST.Wide = std::move(WT);
 }
 
-/// Second pass over a built plan: pair up (Q, P) states whose tables
-/// ping-pong through one shared Const/Jump action in each direction,
-/// producing SpecPairs for the alternating-span scanner.  For each
-/// direction the single action id covering the most bytes wins; bytes
-/// already owned by a run kernel are excluded (RunId is checked first by
-/// the driver anyway).
-void detectSpecPairs(std::vector<FastPathPlan::StateTable> &States,
-                     FastPathPlan::Stats &S) {
-  using Action = FastPathPlan::Action;
-  const unsigned N = unsigned(States.size());
-  // bestTo[Q][P] = action id in Q covering the most non-run bytes with
-  // Target == P (Const/Jump only), or -1.
-  auto bestAction = [&](unsigned Q, unsigned P,
-                        std::array<uint64_t, 4> &MaskOut) -> int {
-    const FastPathPlan::StateTable &ST = States[Q];
-    std::vector<unsigned> Count(ST.Actions.size(), 0);
-    for (unsigned B = 0; B < 256; ++B) {
-      if (ST.RunId[B] != FastPathPlan::NoRun)
-        continue;
-      uint16_t A = ST.Dispatch[B];
-      const Action &Act = ST.Actions[A];
-      if ((Act.K == Action::Kind::Jump || Act.K == Action::Kind::Const) &&
-          Act.Target == P)
-        ++Count[A];
-    }
-    int Best = -1;
-    unsigned BestN = 0;
-    for (unsigned A = 0; A < Count.size(); ++A)
-      if (Count[A] > BestN) {
-        BestN = Count[A];
-        Best = int(A);
-      }
-    if (Best < 0)
-      return -1;
-    MaskOut = {};
-    for (unsigned B = 0; B < 256; ++B)
-      if (ST.RunId[B] == FastPathPlan::NoRun && ST.Dispatch[B] == unsigned(Best))
-        MaskOut[B >> 6] |= uint64_t(1) << (B & 63);
-    return Best;
-  };
-
-  for (unsigned Q = 0; Q < N; ++Q) {
-    if (!States[Q].HasTable)
-      continue;
-    for (unsigned P = Q + 1; P < N; ++P) {
-      if (!States[P].HasTable)
-        continue;
-      if (States[Q].Specs.size() >= FastPathPlan::NoRun ||
-          States[P].Specs.size() >= FastPathPlan::NoRun)
-        continue;
-      std::array<uint64_t, 4> MQ{}, MP{};
-      int AQ = bestAction(Q, P, MQ);
-      if (AQ < 0)
-        continue;
-      int AP = bestAction(P, Q, MP);
-      if (AP < 0)
-        continue;
-      const Action &ActQ = States[Q].Actions[AQ];
-      const Action &ActP = States[P].Actions[AP];
-      auto popcount = [](const std::array<uint64_t, 4> &M) {
-        unsigned C = 0;
-        for (uint64_t W : M)
-          C += unsigned(__builtin_popcountll(W));
-        return C;
-      };
-      // Forward pair (spans starting in Q) and its mirror in P.
-      SpecPair F;
-      F.Other = P;
-      F.M1 = MQ;
-      F.M2 = MP;
-      F.NT1 = tryEncodeNibbleTable(MQ);
-      F.NT2 = tryEncodeNibbleTable(MP);
-      F.Emits1 = ActQ.Emits;
-      F.Emits2 = ActP.Emits;
-      F.Writes1 = ActQ.Writes;
-      F.Writes2 = ActP.Writes;
-      F.Bytes1 = popcount(MQ);
-      F.Bytes2 = popcount(MP);
-      SpecPair R;
-      R.Other = Q;
-      R.M1 = F.M2;
-      R.M2 = F.M1;
-      R.NT1 = F.NT2;
-      R.NT2 = F.NT1;
-      R.Emits1 = F.Emits2;
-      R.Emits2 = F.Emits1;
-      R.Writes1 = F.Writes2;
-      R.Writes2 = F.Writes1;
-      R.Bytes1 = F.Bytes2;
-      R.Bytes2 = F.Bytes1;
-      uint8_t FI = uint8_t(States[Q].Specs.size());
-      uint8_t RI = uint8_t(States[P].Specs.size());
-      for (unsigned B = 0; B < 256; ++B) {
-        if (SpecPair::maskCovers(F.M1, B))
-          States[Q].SpecId[B] = FI;
-        if (SpecPair::maskCovers(R.M1, B))
-          States[P].SpecId[B] = RI;
-      }
-      States[Q].Specs.push_back(std::move(F));
-      States[P].Specs.push_back(std::move(R));
-      S.SpecPairs += 2;
-    }
-  }
-}
-
 } // namespace
 
 FastPathPlan FastPathPlan::build(const Bst &A, const CompiledTransducer &T,
@@ -942,14 +769,11 @@ FastPathPlan FastPathPlan::build(const Bst &A, const CompiledTransducer &T,
   FastPathPlan P;
   unsigned N = A.numStates();
   P.States.resize(N);
-  // NoRun (0xFF) is the "no owner" sentinel for both per-byte maps, but
-  // the arrays zero-initialize — and 0 is a valid kernel/pair index.
-  // Fill every state, table-eligible or not, so stale zeros can never
-  // alias kernel 0 / pair 0.
-  for (StateTable &ST : P.States) {
+  // NoRun (0xFF) is the "no kernel" sentinel, but the array
+  // zero-initializes — and 0 is a valid kernel index.  Fill every state,
+  // table-eligible or not, so stale zeros can never alias kernel 0.
+  for (StateTable &ST : P.States)
     ST.RunId.fill(NoRun);
-    ST.SpecId.fill(NoRun);
-  }
 
   const Type *ITy = A.inputType();
   P.InW = elemWidthOf(ITy);
@@ -1126,9 +950,6 @@ FastPathPlan FastPathPlan::build(const Bst &A, const CompiledTransducer &T,
         guardsInputOnly(A.delta(Q).get(), X, IOMemo))
       buildWideTable(A, T, Q, ST, W, OldLeaves, IOMemo, P.S);
   }
-
-  if (Opts.SpecAccel)
-    detectSpecPairs(P.States, P.S);
   return P;
 }
 
@@ -1245,42 +1066,6 @@ EFC_HOT_ALIGN bool FastPathCursor::feed(const InT *In, size_t N, OutBuf &Out) {
         I = End - 1;
         continue;
       }
-      if (uint8_t Sp = ST.SpecId[X]; Sp != FastPathPlan::NoRun) {
-        // Two-state speculation: probe for an alternating span through
-        // the partner state.  Both legs are single shared Const/Jump
-        // actions, so a confirmed span bulk-applies both legs' constant
-        // effects; a failed probe (< 4 elements) costs two mask tests
-        // and falls through to ordinary dispatch of this element.
-        const SpecPair &SP = ST.Specs[Sp];
-        size_t End = scanAlternating(In, I, N, SP);
-        size_t K = End - I;
-        if (K >= 4) {
-          for (size_t J = 0; J + 1 < K; J += 2) {
-            appendConsts(Out, SP.Emits1);
-            appendConsts(Out, SP.Emits2);
-          }
-          if (K & 1) {
-            appendConsts(Out, SP.Emits1);
-            // Sequential write order ends ...W2, W1: the span's last
-            // element ran leg 1.
-            for (auto [Slot, V] : SP.Writes2)
-              Slots[Slot] = V;
-            for (auto [Slot, V] : SP.Writes1)
-              Slots[Slot] = V;
-            State = SP.Other;
-          } else {
-            for (auto [Slot, V] : SP.Writes1)
-              Slots[Slot] = V;
-            for (auto [Slot, V] : SP.Writes2)
-              Slots[Slot] = V;
-            // Even-length span: back in this state.
-          }
-          ++RC.SpecRuns;
-          RC.SpecElements += K;
-          I = End - 1;
-          continue;
-        }
-      }
       const FastPathPlan::Action &A = ST.Actions[ST.Dispatch[X]];
       switch (A.K) {
       case FastPathPlan::Action::Kind::Jump:
@@ -1338,8 +1123,7 @@ EFC_CURSOR_FEEDS(uint64_t)
 
 void FastPathCursor::foldCounters() {
   struct Families {
-    metrics::Counter &Runs, &Elems, &Wide, &SpecRuns, &SpecElems, &Table,
-        &Program, &Bytecode;
+    metrics::Counter &Runs, &Elems, &Wide, &Table, &Program, &Bytecode;
   };
   auto &R = metrics::Registry::instance();
   static Families F{
@@ -1349,17 +1133,13 @@ void FastPathCursor::foldCounters() {
                 "Elements consumed by run kernels"),
       R.counter("efc_fastpath_wide_elements_total",
                 "Elements resolved through wide-domain memo tables"),
-      R.counter("efc_fastpath_spec_runs_total",
-                "Alternating spans taken by two-state speculation"),
-      R.counter("efc_fastpath_spec_elements_total",
-                "Elements consumed by two-state speculation"),
       R.counter("efc_fastpath_table_elements_total",
                 "Elements resolved by byte-table Const/Jump/Reject actions"),
       R.counter("efc_fastpath_program_elements_total",
                 "Elements run through byte-table leaf or residual programs"),
       R.counter(BytecodeCounterName, BytecodeCounterHelp)};
   // Unchanged counts skip the shared atomic: sessions fold once per
-  // feed, and most feeds move only some of the eight.
+  // feed, and most feeds move only some of the six.
   auto add = [](metrics::Counter &C, uint64_t Now, uint64_t Was) {
     if (Now != Was)
       C.inc(Now - Was);
@@ -1367,8 +1147,6 @@ void FastPathCursor::foldCounters() {
   add(F.Runs, RC.Runs, Folded.Runs);
   add(F.Elems, RC.RunElements, Folded.RunElements);
   add(F.Wide, RC.WideElements, Folded.WideElements);
-  add(F.SpecRuns, RC.SpecRuns, Folded.SpecRuns);
-  add(F.SpecElems, RC.SpecElements, Folded.SpecElements);
   add(F.Table, RC.TableElements, Folded.TableElements);
   add(F.Program, RC.ProgramElements, Folded.ProgramElements);
   add(F.Bytecode, RC.BytecodeElements, Folded.BytecodeElements);

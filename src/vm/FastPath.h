@@ -197,34 +197,6 @@ using NibbleScanFnOf = size_t (*)(const T *In, size_t I, size_t N,
 /// feed, keeps the per-span call a direct jump into the loop.
 template <class T> NibbleScanFnOf<T> nibbleScanner();
 
-/// Two-state speculative transition pair: in state Q, bytes of M1 all
-/// share one Const/Jump action into state P, and in P bytes of M2 all
-/// share one Const/Jump action back into Q.  A block that alternates
-/// M1,M2,M1,... (short alternating runs: delimiter/payload ping-pong)
-/// is then consumed in one span — classify the block against both
-/// states' masks, check the parity pattern, bulk-apply both legs'
-/// constant effects — instead of per-element dispatch that changes
-/// state on every element.
-struct SpecPair {
-  uint32_t Other = 0;                  // partner state P
-  std::array<uint64_t, 4> M1{}, M2{};  // leg masks: Q-side / P-side
-  NibbleTable NT1, NT2;                // SIMD encodings (when expressible)
-  std::vector<uint64_t> Emits1, Emits2;
-  std::vector<std::pair<uint16_t, uint64_t>> Writes1, Writes2;
-  unsigned Bytes1 = 0, Bytes2 = 0; // popcounts, for explain/stats
-
-  static bool maskCovers(const std::array<uint64_t, 4> &M, uint64_t X) {
-    return X < 256 && ((M[X >> 6] >> (X & 63)) & 1);
-  }
-};
-
-/// Returns the end of the longest alternating span starting at \p I:
-/// elements at even offsets from I must be in SP.M1, odd offsets in
-/// SP.M2 (all < 256).  In[I] is required to be in M1.  Byte streams
-/// classify 32-byte AVX2 blocks; wider ones scan with the scalar loop.
-template <class T>
-size_t scanAlternating(const T *In, size_t I, size_t N, const SpecPair &SP);
-
 /// Per-element action table for wide scalar inputs (8 < width <= 16,
 /// e.g. the UTF-16 HTML pipelines): the byte tables cover elements
 /// < 256, this covers [256, 2^W).  Only for states whose guards all read
@@ -270,12 +242,10 @@ struct FastPathOptions {
   /// evaluator sweep over the 2^W domain at plan build; disable via
   /// EFC_FASTPATH_WIDE=0).
   bool WideTables = true;
-  /// Detect two-state speculative alternating pairs.
-  bool SpecAccel = true;
 
-  /// Reads EFC_FASTPATH_ACCEL / EFC_FASTPATH_WIDE / EFC_FASTPATH_SPEC
-  /// ("0" disables); shared by PipelineCache and the benches so A/B
-  /// switches mean the same thing everywhere.
+  /// Reads EFC_FASTPATH_ACCEL / EFC_FASTPATH_WIDE ("0" disables); shared
+  /// by PipelineCache and the benches so A/B switches mean the same thing
+  /// everywhere.
   static FastPathOptions fromEnv();
 };
 
@@ -307,7 +277,6 @@ public:
     unsigned WideProgramClasses = 0;
     unsigned WideRejectClasses = 0;
     uint64_t WideMemoElements = 0; // elements resolved to memoized effects
-    unsigned SpecPairs = 0;        // two-state speculative pairs
   };
 
   /// Builds the plan for \p A as compiled into \p T.  Always succeeds: a
@@ -343,10 +312,6 @@ public:
     /// every table state (all NoRun when acceleration is disabled).
     std::array<uint8_t, 256> RunId{};
     std::vector<RunKernel> Runs;
-    /// byte -> index into Specs, or NoRun.  Checked after RunId, before
-    /// Dispatch: a hit probes for an alternating two-state span.
-    std::array<uint8_t, 256> SpecId{};
-    std::vector<SpecPair> Specs;
     /// Wide-domain table for elements in [256, Wide.Limit); Has=false
     /// when the input width is <= 8 or > 16 or wide tables are disabled.
     WideTable Wide;
@@ -392,19 +357,16 @@ private:
 class FastPathCursor {
 public:
   /// Cumulative execution ledger: every element fed is counted once, by
-  /// the tier that consumed it (run kernel, spec pair, wide table, table
-  /// Const/Jump, table Program, bytecode), so the six element counts sum
-  /// to the elements fed; plus the spans the run kernels and spec pairs
-  /// took.  Surfaced by StreamSession / efcc --stats / efc-serve --stats.
+  /// the tier that consumed it (run kernel, wide table, table Const/Jump,
+  /// table Program, bytecode), so the five element counts sum to the
+  /// elements fed; plus the spans the run kernels took.  Surfaced by
+  /// StreamSession / efcc --stats / efc-serve --stats.
   struct RunCounters {
     uint64_t Runs = 0;
     uint64_t RunElements = 0;
     /// Elements resolved through the wide-domain memo/program tables
     /// instead of per-element bytecode.
     uint64_t WideElements = 0;
-    /// Speculative alternating spans taken, and elements they consumed.
-    uint64_t SpecRuns = 0;
-    uint64_t SpecElements = 0;
     /// Byte-table Const, Jump and Reject actions.
     uint64_t TableElements = 0;
     /// Byte-table Program actions, residual programs included.

@@ -136,7 +136,7 @@ TEST(CliToolTest, MetricsDumpOnStderr) {
        {"# TYPE efc_solver_checks_total counter", "efc_solver_implied_total",
         "efc_fusion_runs_total", "efc_rbbe_runs_total 1",
         "efc_cache_builds_total 1", "efc_fastpath_runs_total",
-        "efc_fastpath_spec_runs_total", "efc_fastpath_wide_elements_total",
+        "efc_fastpath_wide_elements_total",
         "efc_fastpath_table_elements_total",
         "efc_fastpath_program_elements_total",
         "efc_fastpath_bytecode_elements_total"})
@@ -171,17 +171,16 @@ TEST(CliToolTest, StatsPrintsLedgerSummingToInput) {
     EXPECT_EQ(Rc, 0) << Err;
     size_t At = Err.find("efcc: ledger: 14 elements: ");
     ASSERT_NE(At, std::string::npos) << Backend << "\n" << Err;
-    unsigned long long N[6];
+    unsigned long long N[5];
     ASSERT_EQ(sscanf(Err.c_str() + At,
                      "efcc: ledger: 14 elements: %llu run-kernel, %llu "
-                     "spec-pair, %llu wide, %llu table, %llu program, %llu "
-                     "bytecode",
-                     &N[0], &N[1], &N[2], &N[3], &N[4], &N[5]),
-              6)
+                     "wide, %llu table, %llu program, %llu bytecode",
+                     &N[0], &N[1], &N[2], &N[3], &N[4]),
+              5)
         << Err;
-    EXPECT_EQ(N[0] + N[1] + N[2] + N[3] + N[4] + N[5], 14u) << Err;
+    EXPECT_EQ(N[0] + N[1] + N[2] + N[3] + N[4], 14u) << Err;
     if (std::string(Backend) == "vm") {
-      EXPECT_EQ(N[5], 14u) << "a VM run counts every element as bytecode";
+      EXPECT_EQ(N[4], 14u) << "a VM run counts every element as bytecode";
     }
   }
 }

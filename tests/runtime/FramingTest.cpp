@@ -397,7 +397,9 @@ TEST(ServeTransport, CrossShardSessionForwarding) {
   ASSERT_TRUE(T.start(&Err)) << Err;
   // Unix accepts hand off round-robin: the first connection lands on
   // shard 0, the second on shard 1 — so B's frames for A's session must
-  // cross shards.
+  // cross shards.  A closes right after the open reply, as each separate
+  // `efc-serve --open` / `--feed` / `--finish` invocation does: the
+  // session must outlive the connection that opened it.
   int A = connectTo(T.Sock);
   ASSERT_GE(A, 0);
   int B = connectTo(T.Sock);
@@ -405,6 +407,17 @@ TEST(ServeTransport, CrossShardSessionForwarding) {
   Reply R;
   ASSERT_TRUE(roundTrip(A, std::string("Oxs\nvm\n") + CsvMaxSpec, R));
   ASSERT_TRUE(R.Ok) << R.Body;
+  ::close(A);
+  // Feed only once the server has seen A go, so the feed cannot race
+  // ahead of the close.
+  bool AGone = false;
+  for (int I = 0; I < 300 && !AGone; ++I) {
+    AGone = T.Srv->statsText().find(" conns=1 bytes_in=") !=
+            std::string::npos;
+    if (!AGone)
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  ASSERT_TRUE(AGone) << T.Srv->statsText();
   ASSERT_TRUE(roundTrip(B, "Fxs\na,41,x\n", R));
   ASSERT_TRUE(R.Ok) << "cross-shard feed failed: " << R.Body;
   ASSERT_TRUE(roundTrip(B, "Fxs\na,7,x\n", R));
@@ -415,7 +428,6 @@ TEST(ServeTransport, CrossShardSessionForwarding) {
   std::string Stats = T.Srv->statsText();
   EXPECT_EQ(Stats.find("cross_forwards=0 "), std::string::npos)
       << "expected forwarded frames in: " << Stats;
-  ::close(A);
   ::close(B);
 }
 

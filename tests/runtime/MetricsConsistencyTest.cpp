@@ -7,7 +7,7 @@
 // native.  The fast-path run-kernel counters folded into the registry
 // must match the cursor-local telemetry exactly (the delta fold in
 // StreamSession::drain must not double-count across chunks).  The
-// execution ledger's six tiers must add up to the bytes fed on every
+// execution ledger's five tiers must add up to the bytes fed on every
 // pipeline the benchmark serves or scans.
 //
 //===----------------------------------------------------------------------===//
@@ -143,7 +143,7 @@ TEST(MetricsConsistency, OneShotRunFastPathFoldsCounters) {
 
 //===----------------------------------------------------------------------===//
 // The execution ledger: every element fed is counted once, by the tier
-// that consumed it, so the six counts add up to the bytes fed.
+// that consumed it, so the five counts add up to the bytes fed.
 //===----------------------------------------------------------------------===//
 
 struct LedgerCase {
@@ -228,9 +228,8 @@ const LedgerCase LedgerCases[] = {
 class ExecutionLedger : public ::testing::TestWithParam<LedgerCase> {};
 
 uint64_t ledgerSum(const StreamSession &S) {
-  return S.fastRunElements() + S.fastSpecElements() + S.fastWideElements() +
-         S.fastTableElements() + S.fastProgramElements() +
-         S.fastBytecodeElements();
+  return S.fastRunElements() + S.fastWideElements() + S.fastTableElements() +
+         S.fastProgramElements() + S.fastBytecodeElements();
 }
 
 TEST_P(ExecutionLedger, TiersSumToBytesFed) {

@@ -195,7 +195,7 @@ TEST_F(EquivCheckerTest, RefutesCorruptedBytecodeGuard) {
 }
 
 //===----------------------------------------------------------------------===//
-// Nibble tables, spec pairs, wide tables: the SIMD-era obligations.
+// Nibble tables, wide tables: the SIMD-era obligations.
 //===----------------------------------------------------------------------===//
 
 // Mutation 4: corrupt a kernel's nibble encoding.  The shufti tables and
@@ -223,61 +223,6 @@ TEST_F(EquivCheckerTest, RefutesCorruptedNibbleTable) {
   EXPECT_EQ(CE.Part, "kernel");
   ASSERT_TRUE(CE.HasInput);
   EXPECT_EQ(CE.Input, uint64_t('a')) << CE.str();
-}
-
-/// Two states that unconditionally ping-pong with constant emits: the
-/// shape detectSpecPairs promotes to a speculative alternating pair.
-Bst makePingPong(TermContext &Ctx) {
-  Bst A(Ctx, Ctx.bv(8), Ctx.bv(8), Ctx.bv(8), 2, 0, Value::bv(8, 0));
-  TermRef R = A.regVar();
-  A.setDelta(0, Rule::base({Ctx.bvConst(8, 0x11)}, 1, R));
-  A.setDelta(1, Rule::base({Ctx.bvConst(8, 0x22)}, 0, R));
-  A.setFinalizer(0, Rule::base({}, 0, R));
-  A.setFinalizer(1, Rule::base({}, 1, R));
-  return A;
-}
-
-TEST_F(EquivCheckerTest, CertifiesSpecPairs) {
-  Bst A = makePingPong(Ctx);
-  Built B = buildFor(A);
-  ASSERT_EQ(B.Plan.stateTable(0).Specs.size(), 1u)
-      << "ping-pong must be detected as a speculative pair";
-  ASSERT_EQ(B.Plan.stateTable(1).Specs.size(), 1u);
-  CertReport R = certifyPipeline(A, B.T, &B.Plan);
-  EXPECT_EQ(R.Status, CertStatus::Certified) << R.summary();
-}
-
-// Mutation 5: corrupt a spec pair's bulk-replayed effects.  The
-// alternating scanner commits Emits1/Emits2 without consulting the
-// dispatch table, so a drifted copy must be refuted.
-TEST_F(EquivCheckerTest, RefutesCorruptedSpecEffects) {
-  Bst A = makePingPong(Ctx);
-  Built B = buildFor(A);
-  FastPathPlan::StateTable &ST = B.Plan.mutableStateTable(0);
-  ASSERT_EQ(ST.Specs.size(), 1u);
-  ASSERT_EQ(ST.Specs[0].Emits1, std::vector<uint64_t>{0x11});
-  ST.Specs[0].Emits1 = {0x33};
-
-  CertReport R = certifyPipeline(A, B.T, &B.Plan);
-  EXPECT_EQ(R.Status, CertStatus::Refuted) << R.summary();
-  ASSERT_FALSE(R.Counterexamples.empty());
-  EXPECT_EQ(R.Counterexamples.front().Part, "spec");
-}
-
-// Mutation 5b: a dispatch-map entry pointing at a pair whose leg mask
-// does not cover the byte (the zero-init aliasing bug this obligation
-// originally caught in the planner).
-TEST_F(EquivCheckerTest, RefutesSpecMapOutsideMask) {
-  Bst A = makePingPong(Ctx);
-  Built B = buildFor(A);
-  FastPathPlan::StateTable &ST = B.Plan.mutableStateTable(0);
-  ASSERT_EQ(ST.Specs.size(), 1u);
-  ST.Specs[0].M1[1] &= ~(uint64_t(1) << ('a' & 63)); // un-cover 'a'
-
-  CertReport R = certifyPipeline(A, B.T, &B.Plan);
-  EXPECT_EQ(R.Status, CertStatus::Refuted) << R.summary();
-  ASSERT_FALSE(R.Counterexamples.empty());
-  EXPECT_EQ(R.Counterexamples.front().Part, "spec");
 }
 
 /// bv(16) echo whose wide elements emit x+1: every element of

@@ -172,9 +172,8 @@ TEST_F(FastPathTest, ResidualProgramsMatchVmForEveryByteAndRegister) {
         ASSERT_TRUE(F.finish(Out));
         ASSERT_EQ(Out, VmFin) << "r=" << V << " byte=" << B;
         const FastPathCursor::RunCounters &L = F.runCounters();
-        EXPECT_EQ(L.RunElements + L.SpecElements + L.WideElements +
-                      L.TableElements + L.ProgramElements +
-                      L.BytecodeElements,
+        EXPECT_EQ(L.RunElements + L.WideElements + L.TableElements +
+                      L.ProgramElements + L.BytecodeElements,
                   3u);
         ProgramElems += L.ProgramElements;
       }

@@ -6,13 +6,14 @@
 // detected level — the sweep is safe on any box) and re-runs the same
 // differential checks under each:
 //
-//  * scanRunEnd / scanAlternating against their scalar references, on
-//    exact-size uint8_t and uint16_t heap buffers so AVX2/AVX-512 block
-//    reads past N trip ASan.  Every length from 0 to 193 (three 64-byte
-//    AVX-512 strides plus a tail) with an escape at every position.
-//  * whole-machine oracles: the fast path (nibble run scans, spec-pair
-//    alternating spans, wide-domain memo tables) against the bytecode
-//    VM on synthetic machines shaped to hit each accelerator tier.
+//  * scanRunEnd against its scalar reference, on exact-size uint8_t and
+//    uint16_t heap buffers so AVX2/AVX-512 block reads past N trip ASan.
+//    Every length from 0 to 193 (three 64-byte AVX-512 strides plus a
+//    tail) with an escape at every position.
+//  * whole-machine oracles: the fast path (nibble run scans, byte tables
+//    that change state on every element, wide-domain memo tables)
+//    against the bytecode VM on synthetic machines shaped to hit each
+//    tier.
 //  * the native backend, whose run kernels block-scan with the host's
 //    nibbleScanner(), so a forced level reaches generated code too.
 //
@@ -55,16 +56,6 @@ size_t refScanRunEnd(const std::vector<T> &In, size_t I, size_t N,
   return I;
 }
 
-template <class T>
-size_t refScanAlternating(const std::vector<T> &In, size_t I, size_t N,
-                          const SpecPair &SP) {
-  size_t J = I;
-  while (J < N &&
-         SpecPair::maskCovers(((J - I) & 1) ? SP.M2 : SP.M1, In[J]))
-    ++J;
-  return J;
-}
-
 template <typename Pred> RunKernel makeKernel(Pred Member) {
   RunKernel RK;
   int Escape = -1;
@@ -82,24 +73,6 @@ template <typename Pred> RunKernel makeKernel(Pred Member) {
     RK.SingleEscape = Escape;
   RK.NT = tryEncodeNibbleTable(RK.Mask);
   return RK;
-}
-
-template <typename P1, typename P2>
-SpecPair makePair(P1 Leg1, P2 Leg2) {
-  SpecPair SP;
-  for (unsigned B = 0; B < 256; ++B) {
-    if (Leg1(B)) {
-      SP.M1[B >> 6] |= uint64_t(1) << (B & 63);
-      ++SP.Bytes1;
-    }
-    if (Leg2(B)) {
-      SP.M2[B >> 6] |= uint64_t(1) << (B & 63);
-      ++SP.Bytes2;
-    }
-  }
-  SP.NT1 = tryEncodeNibbleTable(SP.M1);
-  SP.NT2 = tryEncodeNibbleTable(SP.M2);
-  return SP;
 }
 
 // Lengths one short of / at / one past every vector block width.
@@ -184,54 +157,6 @@ TEST(SimdSweep, ScanRunEndWideElementsEveryLevel) {
   }
 }
 
-template <class T> void sweepAlternating(const SpecPair &SP, simd::Level L) {
-  auto alternating = [](size_t Len) {
-    std::vector<T> In(Len);
-    for (size_t I = 0; I < Len; ++I)
-      In[I] = (I & 1) ? T(',') : T('3');
-    return In;
-  };
-  for (size_t Len = 0; Len <= MaxSweepLen; ++Len) {
-    std::vector<T> In = alternating(Len);
-    // Clean alternation from the front consumes the whole buffer.
-    EXPECT_EQ(scanAlternating(In.data(), 0, Len, SP),
-              refScanAlternating(In, 0, Len, SP))
-        << simd::levelName(L) << " len=" << Len << " elem=" << sizeof(T);
-    // Break the parity at every position: with a digit (wrong leg), with
-    // a byte in neither leg, and in a 16-bit stream with an element that
-    // aliases a separator.
-    std::vector<uint64_t> Bads = {uint64_t('x'), 0};
-    if (sizeof(T) > 1)
-      Bads.push_back(uint64_t(',') + 256);
-    for (size_t Pos = 0; Pos < Len; ++Pos) {
-      Bads[1] = uint64_t(In[Pos]) ^ 1;
-      for (uint64_t Bad : Bads) {
-        std::vector<T> Broken = alternating(Len);
-        Broken[Pos] = T(Bad);
-        for (size_t I : {size_t(0), Pos / 2 * 2}) // even starts: leg 1
-          EXPECT_EQ(scanAlternating(Broken.data(), I, Len, SP),
-                    refScanAlternating(Broken, I, Len, SP))
-              << simd::levelName(L) << " len=" << Len << " pos=" << Pos
-              << " bad=" << Bad << " I=" << I << " elem=" << sizeof(T);
-      }
-    }
-  }
-}
-
-TEST(SimdSweep, ScanAlternatingEveryLevelExactBuffers) {
-  LevelGuard G;
-  SpecPair SP = makePair(
-      [](unsigned B) { return B >= '0' && B <= '9'; }, // leg 1: digits
-      [](unsigned B) { return B == ',' || B == ';'; }); // leg 2: seps
-  ASSERT_TRUE(SP.NT1.Valid);
-  ASSERT_TRUE(SP.NT2.Valid);
-  for (simd::Level L : runnableLevels()) {
-    ASSERT_EQ(simd::setActiveLevelForTesting(L), L);
-    sweepAlternating<uint8_t>(SP, L);
-    sweepAlternating<uint16_t>(SP, L);
-  }
-}
-
 TEST(SimdSweep, NibbleEncodingMatchesMaskWhenValid) {
   std::mt19937 Rng(99);
   std::uniform_int_distribution<uint64_t> Word;
@@ -282,8 +207,8 @@ protected:
     return A;
   }
 
-  /// Two states that unconditionally ping-pong with constant emits: the
-  /// shape detectSpecPairs promotes to a speculative alternating pair.
+  /// Two states that unconditionally ping-pong with constant emits: every
+  /// element changes state through a byte-table Const action.
   Bst makePingPong() {
     Bst A(Ctx, Ctx.bv(8), Ctx.bv(8), Ctx.bv(8), 2, 0, Value::bv(8, 0));
     TermRef R = A.regVar();
@@ -426,14 +351,13 @@ TEST_F(SimdOracleTest, NativeCopyLoopEveryLevel) {
   }
 }
 
-TEST_F(SimdOracleTest, SpecPairAlternatingEveryLevel) {
+TEST_F(SimdOracleTest, AlternatingStatesEveryLevel) {
   LevelGuard G;
   Bst A = makePingPong();
   auto T = CompiledTransducer::compile(A);
   ASSERT_TRUE(T.has_value());
   FastPathPlan P = FastPathPlan::build(A, *T);
-  ASSERT_EQ(P.stats().SpecPairs, 2u)
-      << "ping-pong must be detected from both states";
+  ASSERT_EQ(P.stats().TableStates, 2u) << "both states must get a table";
 
   for (simd::Level L : runnableLevels()) {
     ASSERT_EQ(simd::setActiveLevelForTesting(L), L);
@@ -441,12 +365,6 @@ TEST_F(SimdOracleTest, SpecPairAlternatingEveryLevel) {
       std::vector<uint64_t> In(Len, uint64_t('x'));
       expectOracle(P, *T, In, simd::levelName(L));
     }
-    // The accelerated spans must actually engage (not just agree).
-    std::vector<uint8_t> Long(128, uint8_t('q'));
-    FastPathCursor C(P, *T);
-    std::string Out;
-    ASSERT_TRUE(C.feed(Long.data(), Long.size(), Out));
-    EXPECT_GT(C.runCounters().SpecElements, 0u) << simd::levelName(L);
   }
 }
 

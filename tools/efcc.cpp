@@ -383,12 +383,10 @@ int main(int argc, char **argv) {
                 FS.CopyKernels, FS.ConstAppendKernels, FS.AccelBytes);
         fprintf(stderr,
                 "efcc: simd: detected %s, active %s; %u nibble kernels, "
-                "%u spec pairs, %u wide states (%llu memoized wide "
-                "elements)\n",
+                "%u wide states (%llu memoized wide elements)\n",
                 simd::levelName(simd::detectedLevel()),
                 simd::levelName(simd::activeLevel()), FS.NibbleKernels,
-                FS.SpecPairs, FS.WideStates,
-                (unsigned long long)FS.WideMemoElements);
+                FS.WideStates, (unsigned long long)FS.WideMemoElements);
       }
       S = StreamSession::overFast(*P->Fast, *P->Vm);
     } else {
@@ -400,11 +398,9 @@ int main(int argc, char **argv) {
     }
     if (Stats && S->backend() != StreamSession::Backend::Native)
       fprintf(stderr,
-              "efcc: ledger: %zu elements: %llu run-kernel, %llu "
-              "spec-pair, %llu wide, %llu table, %llu program, %llu "
-              "bytecode\n",
+              "efcc: ledger: %zu elements: %llu run-kernel, %llu wide, "
+              "%llu table, %llu program, %llu bytecode\n",
               Data.size(), (unsigned long long)S->fastRunElements(),
-              (unsigned long long)S->fastSpecElements(),
               (unsigned long long)S->fastWideElements(),
               (unsigned long long)S->fastTableElements(),
               (unsigned long long)S->fastProgramElements(),
